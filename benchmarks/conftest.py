@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import subprocess
 
 import pytest
@@ -102,3 +103,21 @@ def run_once(benchmark, function, *args, **kwargs):
     """Run ``function`` exactly once under pytest-benchmark and return its value."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
+
+
+def interleaved_ratio(measure_a, measure_b, trials: int):
+    """Median ratio of two rates measured in alternating trials.
+
+    ``measure_a``/``measure_b`` each return one rate sample.  Taking them
+    A, B, A, B, ... exposes both sides to the same host drift, and the
+    median of the per-trial ratios ignores the odd trial a load spike
+    hits (Georges, Buytaert and Eeckhout, "Statistically Rigorous Java
+    Performance Evaluation", OOPSLA 2007).  Returns ``(median ratio,
+    median rate A, median rate B, per-trial ratios)``.
+    """
+    samples = [(measure_a(), measure_b()) for _ in range(trials)]
+    ratios = [a / b for a, b in samples]
+    return (statistics.median(ratios),
+            statistics.median(a for a, _ in samples),
+            statistics.median(b for _, b in samples),
+            ratios)

@@ -1,44 +1,34 @@
-"""Microbenchmark: the combined TLB-hit + L1-hit access fast path.
+"""Microbenchmark: the fused TLB-hit + L1-hit access path.
 
 Every instruction a simulated workload executes pays the per-word
 translate → coherence → data path, so its Python overhead bounds the whole
-simulator's throughput.  The fast path serves the overwhelmingly common
-TLB-hit + L1-hit case without allocating an ``AccessResult``, without enum
-dispatch and without per-access f-string counter names; this benchmark
-drives a steady-state working set (everything resident in the TLB and L1)
-through one CPU core's :class:`~repro.mem.port.CoreMemoryPort` with the
-fast path on and off and records the accesses/second ratio to
-``benchmarks/results/access_path.txt``.
+simulator's throughput.  The fused hit path serves the overwhelmingly
+common TLB-hit + L1-hit case inline in ``CoreMemoryPort.load``/``store``;
+this benchmark drives a steady-state working set (everything resident in
+the TLB and L1) through one CPU core's
+:class:`~repro.mem.port.CoreMemoryPort` with the fast path on and off, in
+interleaved trials, and records the median accesses/second ratio to
+``benchmarks/results/access_path.{txt,json}``.
 
-The second half benchmarks the batched/columnar engine on top of the
-fast path: the same access stream handed to :meth:`run_batch` in
-4096-op batches, with the columnar TLB+cache hit kernel on
-(``batch_enabled=True``) and off (the scalar fast-path loop).  Batching
-amortises the per-access Python dispatch across whole batches, which is
-where the next order of magnitude comes from.
-
-Timing, data values and statistics are bit-identical between all the
-paths (asserted here on the counters, and by ``tests/mem/test_fast_path.py``
-and ``tests/mem/test_batch.py`` on whole-workload and randomized streams);
-only the host wall-clock differs.  Both tests also emit machine-readable
-``benchmarks/results/*.json`` documents (rates, ratio, host, git sha).
+Timing, data values and statistics are bit-identical between the paths
+and between batched and one-by-one issue (asserted here on the counters,
+and by ``tests/mem/test_fast_path.py`` and ``tests/mem/test_batch.py`` on
+whole-workload and randomized streams); only the host wall-clock differs.
 """
 
 from __future__ import annotations
 
 import time
 
-from conftest import run_once
+from conftest import interleaved_ratio, run_once
 
 from repro.config import small_ccsvm_system
 from repro.core.chip import CCSVMChip
-from repro.mem.batch import OP_LOAD, OP_STORE
-from repro.sim import columnar
+from repro.mem.batch import OP_LOAD, OP_STORE, scalar_op
 
-ACCESSES = 120_000
+ACCESSES = 40_000  # per trial and path
 WORKING_SET_WORDS = 256  # fits one page and a fraction of the 8 KiB L1
-REPEATS = 3
-BATCH_WORDS = 4096  # ops per run_batch call in the batched benchmark
+TRIALS = 9
 
 
 def _build_port(fast_path: bool):
@@ -54,24 +44,20 @@ def _build_port(fast_path: bool):
     return chip, port, base
 
 
-def _accesses_per_second(fast_path: bool, accesses: int = ACCESSES,
-                         repeats: int = REPEATS) -> float:
-    """Best of ``repeats`` timings (3 loads : 1 store, like real kernels)."""
-    best = 0.0
-    for _ in range(repeats):
-        _chip, port, base = _build_port(fast_path)
-        addresses = [base + (index % WORKING_SET_WORDS) * 8
-                     for index in range(accesses)]
-        load, store = port.load, port.store
-        started = time.perf_counter()
-        for index, address in enumerate(addresses):
-            if index & 3:
-                load(address)
-            else:
-                store(address, index)
-        elapsed = time.perf_counter() - started
-        best = max(best, accesses / elapsed)
-    return best
+def _accesses_per_second(fast_path: bool,
+                         accesses: int = ACCESSES) -> float:
+    """One timing of a 3 loads : 1 store stream, like real kernels."""
+    _chip, port, base = _build_port(fast_path)
+    addresses = [base + (index % WORKING_SET_WORDS) * 8
+                 for index in range(accesses)]
+    load, store = port.load, port.store
+    started = time.perf_counter()
+    for index, address in enumerate(addresses):
+        if index & 3:
+            load(address)
+        else:
+            store(address, index)
+    return accesses / (time.perf_counter() - started)
 
 
 def _benchmark_ops(accesses: int, base: int):
@@ -86,54 +72,29 @@ def _benchmark_ops(accesses: int, base: int):
     return ops
 
 
-def _batch_accesses_per_second(batched: bool, accesses: int = ACCESSES,
-                               repeats: int = REPEATS) -> float:
-    """Best of ``repeats`` timings of 3:1 load/store vector batches.
-
-    Homogeneous ``BATCH_WORDS``-op vectors are what the engine's callers
-    emit (``LoadVector``/``StoreVector``, MTTOP warp batches).  With
-    ``batched=False`` the port runs the identical call sequence as a loop
-    over the scalar fast path, so the ratio is columnar engine vs PR-5's
-    per-op dispatch.
-    """
-    best = 0.0
-    for _ in range(repeats):
-        _chip, port, base = _build_port(True)
-        port.batch_enabled = batched
-        addrs = [base + (index % WORKING_SET_WORDS) * 8
-                 for index in range(BATCH_WORDS)]
-        vals = list(range(BATCH_WORDS))
-        load_batch, store_batch = port.load_batch, port.store_batch
-        started = time.perf_counter()
-        for chunk in range(accesses // BATCH_WORDS):
-            if chunk & 3:
-                load_batch(addrs)
-            else:
-                store_batch(addrs, vals)
-        elapsed = time.perf_counter() - started
-        best = max(best, accesses / elapsed)
-    return best
-
-
 def test_access_fast_path_speedup(benchmark, record_figure, record_results):
     """The fast path is measurably faster at steady-state TLB+L1 hits."""
-    fast_rate = run_once(benchmark, _accesses_per_second, True)
-    slow_rate = _accesses_per_second(False)
-    ratio = fast_rate / slow_rate
+    ratio, fast_rate, slow_rate, ratios = run_once(
+        benchmark, interleaved_ratio,
+        lambda: _accesses_per_second(True),
+        lambda: _accesses_per_second(False), TRIALS)
     text = (
-        f"Access-path microbenchmark — {ACCESSES} warm accesses "
-        f"({WORKING_SET_WORDS}-word working set, 3:1 load:store)\n"
-        f"fast path (TLB-hit + L1-hit combined): {fast_rate:12,.0f} accesses/s\n"
+        f"Access-path microbenchmark — {ACCESSES} warm accesses per trial "
+        f"({WORKING_SET_WORDS}-word working set, 3:1 load:store), "
+        f"median of {TRIALS} interleaved trials\n"
+        f"fast path (fused TLB-hit + L1-hit):    {fast_rate:12,.0f} accesses/s\n"
         f"legacy path (AccessResult per access): {slow_rate:12,.0f} accesses/s\n"
-        f"speedup: {ratio:.2f}x"
+        f"speedup: {ratio:.2f}x (trials {min(ratios):.2f}-{max(ratios):.2f}x)"
     )
     record_figure("access_path", text)
     record_results("access_path", {
         "accesses": ACCESSES,
+        "trials": TRIALS,
         "working_set_words": WORKING_SET_WORDS,
         "fast_path_accesses_per_s": fast_rate,
         "legacy_path_accesses_per_s": slow_rate,
         "speedup": ratio,
+        "trial_speedups": ratios,
     })
     print("\n" + text)
     assert ratio >= 1.2, (
@@ -141,56 +102,26 @@ def test_access_fast_path_speedup(benchmark, record_figure, record_results):
     )
 
 
-def test_batch_engine_speedup(benchmark, record_figure, record_results):
-    """The columnar batch engine is >=5x the scalar fast path (target 10x)."""
-    batch_rate = run_once(benchmark, _batch_accesses_per_second, True)
-    scalar_rate = _batch_accesses_per_second(False)
-    ratio = batch_rate / scalar_rate
-    kernel = "numpy" if columnar.USING_NUMPY else "python"
-    # The pure-Python columnar kernel amortizes less of the per-op
-    # dispatch, so the CI leg without numpy gets a lower floor.
-    floor = 5.0 if columnar.USING_NUMPY else 2.5
-    text = (
-        f"Batch-engine microbenchmark — {ACCESSES} warm accesses in "
-        f"{BATCH_WORDS}-op vectors ({WORKING_SET_WORDS}-word working set, "
-        f"3:1 load:store vectors, columnar kernel: {kernel})\n"
-        f"batch engine (columnar TLB+L1 hit lane): "
-        f"{batch_rate:12,.0f} accesses/s\n"
-        f"scalar fast path (per-op dispatch):      "
-        f"{scalar_rate:12,.0f} accesses/s\n"
-        f"speedup: {ratio:.2f}x"
-    )
-    record_figure("batch_engine", text)
-    record_results("batch_engine", {
-        "accesses": ACCESSES,
-        "batch_words": BATCH_WORDS,
-        "working_set_words": WORKING_SET_WORDS,
-        "columnar_kernel": kernel,
-        "batch_accesses_per_s": batch_rate,
-        "scalar_accesses_per_s": scalar_rate,
-        "speedup": ratio,
-    })
-    print("\n" + text)
-    assert ratio >= floor, (
-        f"batch engine only {ratio:.2f}x the scalar fast path "
-        f"({kernel} kernel, floor {floor}x)"
-    )
-
-
 def test_batch_and_scalar_modes_produce_identical_results():
-    """The benchmark stream retires bit-identical results in both modes."""
+    """The benchmark stream retires bit-identical results whether it is
+    issued as batches or op by op."""
     outcomes = {}
     for batched in (True, False):
         chip, port, base = _build_port(True)
-        port.batch_enabled = batched
         ops = _benchmark_ops(4096, base)
         checksum = 0
         total_latency = 0
         for start in range(0, len(ops), 512):
-            values, latencies = port.run_batch(ops[start:start + 512])
+            chunk = ops[start:start + 512]
+            if batched:
+                values, latencies = port.run_batch(chunk)
+            else:
+                values, latencies = zip(*(scalar_op(port, *op)
+                                          for op in chunk))
             checksum += sum(v for v in values if v is not None)
             total_latency += sum(latencies)
-        outcomes[batched] = (checksum, total_latency, chip.stats_snapshot())
+        outcomes[batched] = (checksum, total_latency,
+                             list(chip.stats_snapshot().items()))
     assert outcomes[True] == outcomes[False]
 
 
@@ -209,5 +140,6 @@ def test_access_paths_produce_identical_counters():
             else:
                 latency = port.store(address, index)
             total_latency += latency
-        outcomes[fast_path] = (total_latency, checksum, chip.stats_snapshot())
+        outcomes[fast_path] = (total_latency, checksum,
+                               list(chip.stats_snapshot().items()))
     assert outcomes[True] == outcomes[False]

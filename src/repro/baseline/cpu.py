@@ -16,8 +16,8 @@ from repro.baseline.memory import FlatMemory, PrivateCacheHierarchy
 from repro.cores.interpreter import ThreadContext, ThreadProgram, execute_memory_operation
 from repro.cores.isa import Compute, Free, Malloc
 from repro.errors import KernelProgramError
-from repro.mem.batch import (BatchOp, BatchResult, OP_STORE, run_flat_batch,
-                             scalar_run_batch, split_ops)
+from repro.mem.batch import (BatchOp, BatchResult, OP_STORE, scalar_run_batch,
+                             split_ops)
 from repro.sim.clock import ClockDomain
 from repro.sim.stats import StatsRegistry
 
@@ -38,11 +38,9 @@ class BaselineRunResult:
 class BaselineCPUPort:
     """Memory port adapter: flat memory + a private cache hierarchy."""
 
-    def __init__(self, memory: FlatMemory, hierarchy: PrivateCacheHierarchy,
-                 batch_enabled: bool = True) -> None:
+    def __init__(self, memory: FlatMemory, hierarchy: PrivateCacheHierarchy) -> None:
         self.memory = memory
         self.hierarchy = hierarchy
-        self.batch_enabled = batch_enabled
         #: The APU baseline has no SC checker, so nothing reads this; it
         #: exists to satisfy the :class:`~repro.mem.port.MemoryPort`
         #: protocol without per-step ``hasattr`` checks in the cores.
@@ -79,24 +77,17 @@ class BaselineCPUPort:
     # ------------------------------------------------------------------ #
     def run_batch(self, ops: Sequence[BatchOp]) -> BatchResult:
         """Run a mixed op batch in order; see :mod:`repro.mem.batch`."""
-        vaddrs, kinds, vals, vals2 = split_ops(ops)
-        if self.batch_enabled:
-            return run_flat_batch(self, vaddrs, kinds, vals, vals2)
-        return scalar_run_batch(self, vaddrs, kinds, vals, vals2)
+        return scalar_run_batch(self, *split_ops(ops))
 
     def load_batch(self, vaddrs: Sequence[int]) -> BatchResult:
         """Load a vector of addresses; returns ``(values, latencies)``."""
-        if self.batch_enabled:
-            return run_flat_batch(self, vaddrs, None, None, None)
         return scalar_run_batch(self, vaddrs, None, None, None)
 
     def store_batch(self, vaddrs: Sequence[int],
                     values: Sequence[int]) -> List[int]:
         """Store a vector of values; returns the per-op latencies."""
-        kinds = [OP_STORE] * len(vaddrs)
-        if self.batch_enabled:
-            return run_flat_batch(self, vaddrs, kinds, values, None)[1]
-        return scalar_run_batch(self, vaddrs, kinds, values, None)[1]
+        return scalar_run_batch(self, vaddrs, [OP_STORE] * len(vaddrs),
+                                values, None)[1]
 
 
 class BaselineCPUCore:

@@ -12,18 +12,14 @@ explicit ``insert``/``evict`` instead of a monolithic ``access``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.block import CacheBlock
 from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
 from repro.errors import CacheError
 from repro.memory.address import CACHE_LINE_SIZE, is_power_of_two
-from repro.sim import columnar
 from repro.sim.stats import StatsRegistry
-
-#: One contiguous run of batch operations falling on the same line:
-#: ``(first_index, one_past_last_index, set_index, way, block)``.
-LineRun = Tuple[int, int, int, int, CacheBlock]
 
 
 @dataclass(frozen=True)
@@ -66,12 +62,15 @@ class SetAssociativeCache:
         self.name = config.name
         self.stats = stats if stats is not None else StatsRegistry()
         self._num_sets = config.num_sets
-        # Per set: way -> block, plus a replacement-policy instance.
+        # Per set: way -> block, plus a replacement-policy instance built
+        # by the set's first insert (a touch always follows a fill, and
+        # every policy starts each set from the same state).  Building one
+        # up front rejects a bad policy name or associativity here.
         self._sets: List[Dict[int, CacheBlock]] = [dict() for _ in range(self._num_sets)]
-        self._policies: List[ReplacementPolicy] = [
-            make_replacement_policy(config.replacement, config.associativity)
-            for _ in range(self._num_sets)
-        ]
+        self._new_policy = partial(make_replacement_policy, config.replacement,
+                                   config.associativity)
+        self._new_policy()
+        self._policies: List[Optional[ReplacementPolicy]] = [None] * self._num_sets
         # Reverse index: line address -> (set index, way) for O(1) lookups.
         self._where: Dict[int, Tuple[int, int]] = {}
         # Precomputed bits for the access hot path: building an f-string
@@ -121,59 +120,6 @@ class SetAssociativeCache:
         self.stats.add(self._hits_stat)
         return self._sets[set_index][way]
 
-    # ------------------------------------------------------------------ #
-    # Columnar probe (batched access engine)
-    # ------------------------------------------------------------------ #
-    def gather_batch(self, addresses: Sequence[int], lo: int,
-                     hi: int) -> Tuple[int, List[LineRun]]:
-        """Locate the maximal resident-line prefix of ``addresses[lo:hi]``.
-
-        Pure gather: no replacement touch and no counters — the caller
-        inspects the returned runs (e.g. checks coherence permissions),
-        decides how much of the prefix it can execute, and commits exactly
-        that much via :meth:`commit_batch`.  Stops at the first
-        non-resident line; like :meth:`probe`, nothing is recorded for it,
-        because the op retries on the scalar path whose own lookup records
-        the miss once.
-        """
-        shift = self._line_shift
-        keys = columnar.shift_keys(addresses, lo, hi, shift)
-        starts = columnar.run_starts(keys)
-        # Native ints once per batch: per-run ndarray indexing and
-        # numpy-scalar hashing are several times a dict probe each.
-        keys = keys.tolist()
-        where = self._where
-        sets = self._sets
-        runs: List[LineRun] = []
-        count = hi - lo
-        for index, run_lo in enumerate(starts):
-            run_hi = starts[index + 1] if index + 1 < len(starts) else count
-            line = keys[run_lo] << shift
-            loc = where.get(line)
-            if loc is None:
-                return lo + run_lo, runs
-            set_index, way = loc
-            runs.append((lo + run_lo, lo + run_hi, set_index, way,
-                         sets[set_index][way]))
-        return hi, runs
-
-    def commit_batch(self, runs: Sequence[LineRun], lo: int, stop: int) -> None:
-        """Apply replacement touches and hit counters for ops ``[lo, stop)``.
-
-        One touch per line run replaces the scalar path's per-access touch;
-        consecutive touches of the same way are idempotent for every
-        replacement policy here (LRU recency order, PLRU tree bits, random),
-        so the final replacement state is identical.
-        """
-        if stop <= lo:
-            return
-        policies = self._policies
-        for run_lo, _run_hi, set_index, way, _block in runs:
-            if run_lo >= stop:
-                break
-            policies[set_index].touch(way)
-        self.stats.add(self._hits_stat, stop - lo)
-
     def peek(self, address: int) -> Optional[CacheBlock]:
         """Like :meth:`lookup` but without stats or replacement updates."""
         where = self._where.get(self.line_address(address))
@@ -197,6 +143,8 @@ class SetAssociativeCache:
         set_index = self.set_index(line)
         ways = self._sets[set_index]
         policy = self._policies[set_index]
+        if policy is None:
+            policy = self._policies[set_index] = self._new_policy()
 
         victim: Optional[CacheBlock] = None
         if len(ways) >= self.config.associativity:

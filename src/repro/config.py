@@ -179,10 +179,10 @@ class CCSVMSystemConfig:
     mifd_dispatch_ns: float = 200.0
     #: Polling interval used by spin-wait synchronisation primitives.
     spin_poll_ns: float = 200.0
-    #: Host-side optimisation: let the memory ports run address vectors
-    #: through the columnar batch engine (:mod:`repro.mem.batch`).
-    #: Results are bit-for-bit identical either way; ``False`` forces the
-    #: scalar access loop (``--set batch_access=false``).
+    #: Host-side optimisation: MTTOP cores hand a warp's lane memory ops
+    #: to their port as one batch (:mod:`repro.mem.batch`).  Results are
+    #: bit-for-bit identical either way; ``False`` issues the lanes one at
+    #: a time (``--set batch_access=false``).
     batch_access: bool = True
 
     @property

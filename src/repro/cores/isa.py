@@ -89,9 +89,9 @@ class LoadVector(Operation):
     Semantically and in timing this is exactly the same as yielding one
     :class:`Load` per address back to back — each element is charged the
     core's issue cost plus its own memory latency, and counts as one
-    executed instruction — but it lets the memory port run the batch
-    through the columnar access engine (:mod:`repro.mem.batch`) instead
-    of one full call chain per word.
+    executed instruction — but it lets the memory port run the vector as
+    one batch (:mod:`repro.mem.batch`), its TLB-hit + L1-hit path inlined
+    in a single loop, instead of one port call per word.
     """
 
     vaddrs: Tuple[int, ...]

@@ -1,69 +1,28 @@
-"""The batched/columnar memory-access engine.
+"""Batched memory access: the op encoding and the reference scalar loop.
 
-Every simulated memory operation normally pays a full Python call chain —
-``port.load`` → TLB lookup → coherence probe → data access — and that
-per-word host overhead, not the modeled hardware, bounds wall-clock time.
-This engine amortizes the chain over *address vectors*: a core (or
-workload) hands the port a whole batch of operations at once, and the
-common case — TLB hit followed by an L1 hit with sufficient permission —
-is classified and executed columnar.
+A core (or workload) may hand its memory port a whole batch of operations
+at once — a vector load/store, or an MTTOP warp's lanes — instead of one
+call per word.  A batch is a sequence of ``(kind, vaddr, a, b)`` tuples
+run strictly in order, so its values, latencies and every statistics
+counter equal the same ops issued one by one through the scalar port
+methods.
 
-Correctness argument (why results are bit-for-bit identical):
-
-* The engine processes each batch as alternating *prefixes* and
-  *residues*.  A prefix is the maximal run of ops, against the current
-  TLB/cache state, that are pure fast-path hits; everything else (TLB
-  miss, L1 miss, store upgrade from SHARED/OWNED, atomics) is residue and
-  executes one-by-one through the *unchanged* scalar port methods.
-* Within a prefix, hits never evict, invalidate, fault or downgrade:
-  a load hit only touches replacement state, and a store hit's
-  ``after_local_store`` transition (E→M, M→M) never *reduces* permission.
-  Classifying the whole prefix against the gather-time state is therefore
-  exactly equivalent to classifying op-by-op.
-* The gather phases (``TLB.translate_batch``, ``cache.gather_batch``) are
-  pure; commit applies LRU moves/touches once per same-page/same-line run
-  (idempotent for recency) and counters in bulk, so the post-batch
-  TLB/cache/counter state equals the scalar path's.
-* Data reads/writes run in op order, so store→load forwarding inside a
-  batch behaves exactly like the scalar sequence.
-
-Column arithmetic (key extraction, run detection, offset application) is
-delegated to :mod:`repro.sim.columnar`, which picks a numpy kernel when
-numpy is importable and a pure-Python ``array``-module kernel otherwise
-(``REPRO_NO_NUMPY=1`` forces the latter); both produce identical results.
-
-The engine disengages — falling back to a scalar loop over the same port
-methods — when a port has no TLB, runs with ``fast_path=False``, has a
-sequential-consistency checker attached, or has ``batch_enabled=False``
-(the ``batch_access`` config knob).
+:func:`scalar_run_batch` is that one-by-one loop.  It works against any
+:class:`~repro.mem.port.MemoryPort` and is what the APU baseline's port
+runs.  :class:`~repro.mem.port.CoreMemoryPort` runs the same loop with
+its TLB-hit + L1-hit path inlined, falling back to the scalar methods
+for every other op.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.coherence.states import MOESIState
-from repro.sim import columnar
-
 #: Operation kind codes used in batch columns.
 OP_LOAD = 0
 OP_STORE = 1
 OP_ATOMIC_ADD = 2
 OP_ATOMIC_CAS = 3
-
-_WORD_MASK = (1 << 64) - 1
-_SIGN_BIT = 1 << 63
-_TWO_POW_64 = 1 << 64
-
-# Enum members are singletons, so per-run permission classification is a
-# couple of identity checks instead of an isinstance plus an enum property
-# call (enum hashing and properties are Python-level and dominate the trim
-# loop).  A non-MOESI (transient) state matches none of these, so it
-# breaks the prefix exactly like the isinstance guard did.
-_MODIFIED = MOESIState.MODIFIED
-_OWNED = MOESIState.OWNED
-_EXCLUSIVE = MOESIState.EXCLUSIVE
-_SHARED = MOESIState.SHARED
 
 #: A batch op: ``(kind, vaddr, operand_a, operand_b)``.  ``operand_a`` is
 #: the stored value / atomic delta / CAS expected value; ``operand_b`` is
@@ -73,71 +32,9 @@ BatchOp = Tuple[int, int, int, int]
 #: Batch results: per-op values (None for stores) and latencies.
 BatchResult = Tuple[List[object], List[int]]
 
-# Shared zero column handed out by _zeros(): residue dispatch indexes the
-# operand columns unconditionally instead of re-testing ``is not None`` per
-# op.  Read-only by contract; grown on demand.
-_ZEROS: List[int] = [0] * 1024
 
-#: Max ops translated per Phase A gather.  Bounds the cost of the
-#: re-translation forced by a TLB miss mid-batch.
-_TRANSLATE_SPAN = 1024
-#: Adaptive bounds on the ops gathered per Phase B probe.  A mid-segment
-#: stop (L1 miss, permission, atomic) restarts the gather one op later
-#: and re-scans the window, so restart-heavy streams want it small; the
-#: fixed numpy cost per probe means clean streams want it large.  The
-#: span quarters on every restart and doubles on every completed window.
-_GATHER_SPAN_MIN = 32
-_GATHER_SPAN_MAX = 1024
-
-
-def _zeros(n: int) -> List[int]:
-    """A shared all-zero column of length >= n (never mutated by callers)."""
-    global _ZEROS
-    if len(_ZEROS) < n:
-        _ZEROS = [0] * n
-    return _ZEROS
-
-
-def _trim_mixed_python(kinds: Sequence[int], line_runs, i: int, l1_stop: int):
-    """Per-op prefix trim for mixed-kind segments (pure-Python kernel).
-
-    Returns ``(stop, store_count, store_runs)`` — the fast-hit prefix end,
-    the number of stores inside it, and the line runs containing stores.
-    """
-    stop = l1_stop
-    store_count = 0
-    store_runs = []
-    broke = False
-    for run in line_runs:
-        run_lo, run_hi = run[0] + i, run[1] + i
-        if run_lo >= stop:
-            break
-        state = run[4].state
-        can_write = state is _MODIFIED or state is _EXCLUSIVE
-        if not (can_write or state is _SHARED or state is _OWNED):
-            stop = run_lo
-            break
-        has_store = False
-        for j in range(run_lo, min(run_hi, stop)):
-            k = kinds[j]
-            if k == OP_LOAD:
-                continue
-            if k == OP_STORE and can_write:
-                has_store = True
-                store_count += 1
-                continue
-            stop = j
-            broke = True
-            break
-        if has_store:
-            store_runs.append(run)
-        if broke:
-            break
-    return stop, store_count, store_runs
-
-
-def _scalar_op(port, kind: int, vaddr: int, a: int, b: int):
-    """Execute one op through the unchanged scalar port methods."""
+def scalar_op(port, kind: int, vaddr: int, a: int, b: int):
+    """Execute one op through the scalar port methods; ``(value, latency)``."""
     if kind == OP_LOAD:
         return port.load(vaddr)
     if kind == OP_STORE:
@@ -155,8 +52,8 @@ def scalar_run_batch(port, vaddrs: Sequence[int],
                      vals2: Optional[Sequence[int]]) -> BatchResult:
     """Reference implementation: a plain loop over the scalar port methods.
 
-    Works against any :class:`~repro.mem.port.MemoryPort`; used when the
-    columnar engine is disengaged and as the equivalence-test oracle.
+    ``kinds is None`` means every op is a load.  Works against any
+    :class:`~repro.mem.port.MemoryPort`.
     """
     n = len(vaddrs)
     values: List[object] = [None] * n
@@ -167,459 +64,13 @@ def scalar_run_batch(port, vaddrs: Sequence[int],
             values[i], lats[i] = load(vaddrs[i])
         return values, lats
     for i in range(n):
-        values[i], lats[i] = _scalar_op(
+        values[i], lats[i] = scalar_op(
             port, kinds[i], vaddrs[i],
             vals[i] if vals is not None else 0,
             vals2[i] if vals2 is not None else 0)
     return values, lats
 
 
-# --------------------------------------------------------------------------- #
-# CCSVM coherent port engine
-# --------------------------------------------------------------------------- #
-def run_ccsvm_batch(port, vaddrs: Sequence[int],
-                    kinds: Optional[Sequence[int]],
-                    vals: Optional[Sequence[int]],
-                    vals2: Optional[Sequence[int]]) -> BatchResult:
-    """Run a batch against a :class:`~repro.mem.port.CoreMemoryPort`.
-
-    ``kinds is None`` means every op is a load (the ``load_batch`` fast
-    lane).  The caller guarantees the port is batch-eligible (TLB present
-    with standard pages, fast path on, no SC checker).
-    """
-    n = len(vaddrs)
-    values: List[object] = [None] * n
-    lats = [0] * n
-    if n == 0:
-        return values, lats
-
-    tlb = port.tlb
-    coherence = port.coherence
-    info = coherence._l1s.get(port.node)
-    if info is None:
-        # Match the scalar path's error for an unregistered node.
-        return scalar_run_batch(port, vaddrs, kinds, vals, vals2)
-    cache = info.cache
-    hit_ps = info.hit_latency_ps
-    stats = coherence.stats
-    words = port.physical_memory._words
-
-    npx = columnar.numpy_module() if columnar.USING_NUMPY else None
-    kinds_arr = None
-    if kinds is not None:
-        # Pre-slice the operand columns once so residue dispatch indexes
-        # them directly instead of re-testing ``is not None`` per op.
-        if vals is None:
-            vals = _zeros(n)
-        if vals2 is None:
-            vals2 = _zeros(n)
-        if npx is not None:
-            # No copy when split_ops already produced the ndarray column.
-            kinds_arr = npx.asarray(kinds, dtype=npx.int64)
-    # One ndarray of the address column for the pure gather phases: the
-    # columnar kernels then slice views instead of re-converting the list
-    # per window.  Scalar retries keep indexing the original sequence, so
-    # the slow paths see native ints exactly as before.
-    va_col = vaddrs
-    if npx is not None:
-        try:
-            va_col = npx.asarray(vaddrs, dtype=npx.int64)
-        except (OverflowError, ValueError):
-            va_col = vaddrs
-
-    # Cached Phase A translation for ops [tr_base, tr_stop).  A residue
-    # op inside the span has a mapped page, so its scalar retry is a TLB
-    # *hit* — an LRU touch, never a fill or eviction — which keeps the
-    # span valid across mid-segment stops.  Entries only change on the
-    # miss path, where ``i`` has reached ``tr_stop`` and the next
-    # iteration re-translates anyway.
-    tr_base = 0
-    tr_stop = 0
-    tr_runs: List = []
-    tr_paddrs: Sequence[int] = []
-    tr_ptr = 0
-    span = _GATHER_SPAN_MAX
-
-    i = 0
-    while i < n:
-        kind = kinds[i] if kinds is not None else OP_LOAD
-        if kind == OP_ATOMIC_ADD or kind == OP_ATOMIC_CAS:
-            # Atomics are always residue: the scalar path handles both the
-            # L1-hit and the transaction case identically either way.
-            values[i], lats[i] = _scalar_op(
-                port, kind, vaddrs[i], vals[i], vals2[i])
-            i += 1
-            continue
-
-        # Phase A: pure TLB gather, reused across restarts (see above).
-        if i >= tr_stop:
-            tr_base = i
-            tr_stop, tr_runs, tr_paddrs = tlb.translate_batch(
-                va_col, i, min(n, i + _TRANSLATE_SPAN))
-            tr_ptr = 0
-            if tr_stop == i:
-                # TLB miss: the scalar retry records the miss and walks.
-                values[i], lats[i] = _scalar_op(
-                    port, kind, vaddrs[i],
-                    vals[i] if vals is not None else 0, 0)
-                i += 1
-                continue
-
-        # Phase B: pure L1 gather over a bounded window of the cached
-        # physical addresses.  The window cap keeps a mid-segment stop
-        # from making the next iteration re-scan the whole span; hitting
-        # the cap just continues the loop from there (no residue op).
-        seg_end = tr_stop if tr_stop <= i + span else i + span
-        rel = i - tr_base
-        paddrs = tr_paddrs[rel:rel + (seg_end - i)]
-        l1_stop, line_runs = cache.gather_batch(paddrs, 0, seg_end - i)
-        l1_stop += i
-
-        # Phase C: trim to the fast-hit prefix (MOESI permission and op
-        # kind), using gather-time state — sound because hit transitions
-        # never reduce permission.
-        stop = l1_stop
-        store_count = 0
-        store_runs = []
-        seg_store_idx = None
-        seg_store_mask = None
-        if kinds is None:
-            for run in line_runs:
-                state = run[4].state
-                if not (state is _MODIFIED or state is _EXCLUSIVE
-                        or state is _SHARED or state is _OWNED):
-                    stop = run[0] + i
-                    break
-        elif kinds_arr is not None:
-            # Columnar trim: one Python pass over the (few) line runs for
-            # permission, then vector ops over the per-op kinds.  Falls
-            # back to the per-op walk only when a run is readable but not
-            # writable (SHARED/OWNED), where the break point depends on
-            # per-op kind × per-run permission jointly.
-            rel_stop = l1_stop - i
-            all_writable = True
-            for run in line_runs:
-                if run[0] >= rel_stop:
-                    break
-                state = run[4].state
-                if state is _MODIFIED or state is _EXCLUSIVE:
-                    continue
-                if state is _SHARED or state is _OWNED:
-                    all_writable = False
-                    continue
-                rel_stop = run[0]
-                break
-            kseg = kinds_arr[i:i + rel_stop]
-            if rel_stop == 0 or not kseg.any():
-                # All loads (or empty): permission alone bounds the prefix.
-                stop = i + rel_stop
-            elif all_writable:
-                # Atomics are the only prefix breakers; stores all land on
-                # writable lines.
-                bad = kseg >= OP_ATOMIC_ADD
-                if bad.any():
-                    rel_stop = int(bad.argmax())
-                    kseg = kseg[:rel_stop]
-                stop = i + rel_stop
-                if rel_stop:
-                    store_mask = kseg == OP_STORE
-                    store_count = int(store_mask.sum())
-                    if store_count:
-                        seg_store_mask = store_mask
-                        seg_store_idx = npx.flatnonzero(store_mask).tolist()
-                        p = 0
-                        for run in line_runs:
-                            if p >= store_count:
-                                break
-                            if seg_store_idx[p] < run[1]:
-                                store_runs.append(run)
-                                run_hi = run[1]
-                                while (p < store_count
-                                       and seg_store_idx[p] < run_hi):
-                                    p += 1
-            else:
-                stop, store_count, store_runs = _trim_mixed_python(
-                    kinds, line_runs, i, i + rel_stop)
-        else:
-            stop, store_count, store_runs = _trim_mixed_python(
-                kinds, line_runs, i, l1_stop)
-
-        if stop > i:
-            count = stop - i
-            # Commit: LRU/touches + hit counters for exactly [i, stop).
-            # ``tr_ptr`` (monotonic — ``i`` only advances) skips cached
-            # page runs wholly behind ``i``, whose LRU moves were already
-            # committed with earlier segments.
-            while tr_runs[tr_ptr][1] <= i:
-                tr_ptr += 1
-            tlb.commit_batch(tr_runs, i, stop, first=tr_ptr)
-            cache.commit_batch(line_runs, 0, stop - i)
-            stats.add("coherence.l1_hits", count)
-            if store_count:
-                stats.add("coherence.accesses.store", store_count)
-            if count - store_count:
-                stats.add("coherence.accesses.load", count - store_count)
-            for run in store_runs:
-                block = run[4]
-                # Phase C verified write permission, and after_local_store
-                # is MODIFIED from every writable state.
-                block.state = MOESIState.MODIFIED
-                block.dirty = True
-            # Data movement; latency is the constant L1 hit.
-            lats[i:stop] = [hit_ps] * count
-            get = words.get
-            if kinds is None or store_count == 0:
-                if npx is not None:
-                    # Mask the whole address column at once; .tolist()
-                    # also unboxes to native ints for the dict probes,
-                    # which then run as one C-level map.
-                    pa_seq = (npx.asarray(paddrs[:count], dtype=npx.int64)
-                              & -8).tolist()
-                    vlist = list(map(get, pa_seq, _zeros(count)))
-                    if max(vlist) >= _SIGN_BIT:
-                        vlist = [word - _TWO_POW_64
-                                 if word >= _SIGN_BIT else word
-                                 for word in vlist]
-                    values[i:stop] = vlist
-                else:
-                    values[i:stop] = [
-                        word - _TWO_POW_64
-                        if (word := get(pa & ~7, 0)) >= _SIGN_BIT else word
-                        for pa in (paddrs if count == len(paddrs)
-                                   else paddrs[:count])
-                    ]
-            elif seg_store_idx is not None:
-                # Per-kind sub-vectors: mask the addresses columnar, gather
-                # the load and store positions with vector fancy-indexing,
-                # read the loads as one C-level map, scatter them back
-                # through an object-array mask assignment, and write the
-                # stores as one dict.update.  Reordering loads before
-                # stores is safe only when no store writes a word a load
-                # reads, so alias on the word sets; aliased prefixes take
-                # an in-order pass with the kind flags unboxed once.
-                pa_arr = npx.asarray(paddrs[:count], dtype=npx.int64) & -8
-                load_mask = ~seg_store_mask
-                st_addrs = pa_arr[seg_store_mask].tolist()
-                ld_addrs = (pa_arr[load_mask].tolist()
-                            if count - store_count else [])
-                if set(st_addrs).isdisjoint(ld_addrs):
-                    if ld_addrs:
-                        vlist = list(map(get, ld_addrs,
-                                         _zeros(len(ld_addrs))))
-                        if max(vlist) >= _SIGN_BIT:
-                            vlist = [word - _TWO_POW_64
-                                     if word >= _SIGN_BIT else word
-                                     for word in vlist]
-                        seg = npx.empty(count, dtype=object)
-                        seg[load_mask] = vlist
-                        values[i:stop] = seg.tolist()
-                    words.update(zip(st_addrs,
-                                     [vals[i + x] & _WORD_MASK
-                                      for x in seg_store_idx]))
-                else:
-                    for j, pa, is_load in zip(range(i, stop),
-                                              pa_arr.tolist(),
-                                              load_mask.tolist()):
-                        if is_load:
-                            word = get(pa, 0)
-                            values[j] = (word - _TWO_POW_64
-                                         if word >= _SIGN_BIT else word)
-                        else:
-                            words[pa] = vals[j] & _WORD_MASK
-            else:
-                for j, pa in zip(range(i, stop), paddrs):
-                    pa &= ~7
-                    if kinds[j] == OP_LOAD:
-                        word = get(pa, 0)
-                        values[j] = word - _TWO_POW_64 if word >= _SIGN_BIT \
-                            else word
-                    else:
-                        words[pa] = vals[j] & _WORD_MASK
-
-        if stop < seg_end:
-            # L1 miss / upgrade / non-MOESI state: the scalar retry redoes
-            # the TLB lookup (one hit, like the scalar sequence would
-            # record) and takes the identical slow path.
-            if span > _GATHER_SPAN_MIN:
-                shrunk = span >> 2
-                span = shrunk if shrunk > _GATHER_SPAN_MIN \
-                    else _GATHER_SPAN_MIN
-            k = kinds[stop] if kinds is not None else OP_LOAD
-            values[stop], lats[stop] = _scalar_op(
-                port, k, vaddrs[stop],
-                vals[stop] if vals is not None else 0,
-                vals2[stop] if vals2 is not None else 0)
-            i = stop + 1
-        else:
-            if span < _GATHER_SPAN_MAX:
-                span <<= 1
-            i = seg_end
-    return values, lats
-
-
-# --------------------------------------------------------------------------- #
-# APU flat-memory port engine
-# --------------------------------------------------------------------------- #
-def run_flat_batch(port, vaddrs: Sequence[int],
-                   kinds: Optional[Sequence[int]],
-                   vals: Optional[Sequence[int]],
-                   vals2: Optional[Sequence[int]]) -> BatchResult:
-    """Run a batch against a :class:`~repro.baseline.cpu.BaselineCPUPort`.
-
-    The APU hierarchy has no translation and no coherence permissions: the
-    fast prefix is simply "line resident in the first level", with the
-    level's hit latency and a dirty bit for stores — exactly what
-    :meth:`~repro.mem.private.PrivateHierarchy.access` does on a hit.
-    Misses and atomics drop to the scalar port methods.
-    """
-    n = len(vaddrs)
-    values: List[object] = [None] * n
-    lats = [0] * n
-    if n == 0:
-        return values, lats
-
-    first = port.hierarchy.levels[0]
-    cache = first.cache
-    hit_ps = first.hit_latency_ps
-    words = port.memory._words
-
-    npx = columnar.numpy_module() if columnar.USING_NUMPY else None
-    kinds_arr = None
-    if kinds is not None:
-        if vals is None:
-            vals = _zeros(n)
-        if vals2 is None:
-            vals2 = _zeros(n)
-        if npx is not None:
-            kinds_arr = npx.asarray(kinds, dtype=npx.int64)
-    # As in the CCSVM engine: one address-column ndarray for the gather
-    # phases, scalar retries keep the original sequence.
-    va_col = vaddrs
-    if npx is not None:
-        try:
-            va_col = npx.asarray(vaddrs, dtype=npx.int64)
-        except (OverflowError, ValueError):
-            va_col = vaddrs
-
-    span = _GATHER_SPAN_MAX
-    i = 0
-    while i < n:
-        kind = kinds[i] if kinds is not None else OP_LOAD
-        if kind == OP_ATOMIC_ADD or kind == OP_ATOMIC_CAS:
-            values[i], lats[i] = _scalar_op(
-                port, kind, vaddrs[i], vals[i], vals2[i])
-            i += 1
-            continue
-
-        # Adaptive gather window, as in the CCSVM engine: restarts shrink
-        # it so they re-scan little, completed windows grow it back so
-        # clean streams amortize the per-probe numpy cost.  Hitting the
-        # cap just continues the loop from there.
-        hi = n if n <= i + span else i + span
-        stop, line_runs = cache.gather_batch(va_col, i, hi)
-        if kinds is not None:
-            # The gather is kind-blind; an atomic inside the resident
-            # prefix must still drop to the scalar port, so trim to it.
-            if kinds_arr is not None:
-                bad = kinds_arr[i:stop] >= OP_ATOMIC_ADD
-                if bad.any():
-                    stop = i + int(bad.argmax())
-            else:
-                for j in range(i, stop):
-                    k = kinds[j]
-                    if k != OP_LOAD and k != OP_STORE:
-                        stop = j
-                        break
-        if stop > i:
-            cache.commit_batch(line_runs, i, stop)
-            get = words.get
-            if kinds is None:
-                lats[i:stop] = [hit_ps] * (stop - i)
-                if npx is not None:
-                    pa_seq = (npx.asarray(va_col[i:stop], dtype=npx.int64)
-                              & -8).tolist()
-                    values[i:stop] = list(map(get, pa_seq,
-                                              _zeros(stop - i)))
-                else:
-                    values[i:stop] = [get(va & ~7, 0)
-                                      for va in vaddrs[i:stop]]
-            elif kinds_arr is not None:
-                count = stop - i
-                lats[i:stop] = [hit_ps] * count
-                store_mask = kinds_arr[i:stop] == OP_STORE
-                if not store_mask.any():
-                    pa_seq = (npx.asarray(va_col[i:stop], dtype=npx.int64)
-                              & -8).tolist()
-                    values[i:stop] = list(map(get, pa_seq, _zeros(count)))
-                else:
-                    # View (no copy) when va_col is the ndarray column.
-                    va_arr = npx.asarray(va_col[i:stop],
-                                         dtype=npx.int64) & -8
-                    load_mask = ~store_mask
-                    st_idx = npx.flatnonzero(store_mask).tolist()
-                    st_addrs = va_arr[store_mask].tolist()
-                    ld_addrs = va_arr[load_mask].tolist()
-                    # Mark the dirty bit once per line run with a store.
-                    p = 0
-                    n_st = len(st_idx)
-                    for run in line_runs:
-                        if p >= n_st:
-                            break
-                        run_hi = run[1] - i
-                        if st_idx[p] < run_hi:
-                            run[4].dirty = True
-                            while p < n_st and st_idx[p] < run_hi:
-                                p += 1
-                    if set(st_addrs).isdisjoint(ld_addrs):
-                        if ld_addrs:
-                            vlist = list(map(get, ld_addrs,
-                                             _zeros(len(ld_addrs))))
-                            seg = npx.empty(count, dtype=object)
-                            seg[load_mask] = vlist
-                            values[i:stop] = seg.tolist()
-                        words.update(zip(st_addrs,
-                                         [vals[i + x] for x in st_idx]))
-                    else:
-                        for j, va, is_load in zip(range(i, stop),
-                                                  va_arr.tolist(),
-                                                  load_mask.tolist()):
-                            if is_load:
-                                values[j] = get(va, 0)
-                            else:
-                                words[va] = vals[j]
-            else:
-                for run_lo, run_hi, _si, _way, block in line_runs:
-                    run_hi = min(run_hi, stop)
-                    if run_lo >= stop:
-                        break
-                    for j in range(run_lo, run_hi):
-                        if kinds[j] == OP_LOAD:
-                            values[j] = get(vaddrs[j] & ~7, 0)
-                        else:
-                            words[vaddrs[j] & ~7] = vals[j]
-                            block.dirty = True
-                        lats[j] = hit_ps
-        if stop < hi:
-            if span > _GATHER_SPAN_MIN:
-                shrunk = span >> 2
-                span = shrunk if shrunk > _GATHER_SPAN_MIN \
-                    else _GATHER_SPAN_MIN
-            if kinds is None:
-                values[stop], lats[stop] = port.load(vaddrs[stop])
-            else:
-                values[stop], lats[stop] = _scalar_op(
-                    port, kinds[stop], vaddrs[stop], vals[stop], vals2[stop])
-            i = stop + 1
-        else:
-            if span < _GATHER_SPAN_MAX:
-                span <<= 1
-            i = stop
-    return values, lats
-
-
-# --------------------------------------------------------------------------- #
-# Tuple-batch convenience (MemoryPort.run_batch)
-# --------------------------------------------------------------------------- #
 def split_ops(ops: Sequence[BatchOp]):
     """Split ``(kind, vaddr, a, b)`` tuples into columns.
 
@@ -628,7 +79,7 @@ def split_ops(ops: Sequence[BatchOp]):
     """
     if not ops:
         return [], None, None, None
-    # One transpose through the selected columnar kernel: numpy does the
-    # whole (n, 4) matrix in one shot; the stdlib kernel zip-transposes at
-    # C speed.  Both collapse all-load batches to ``kinds=None``.
-    return columnar.split_columns(ops)
+    kinds, vaddrs, vals, vals2 = map(list, zip(*ops))
+    if not any(kinds):
+        return vaddrs, None, None, None
+    return vaddrs, kinds, vals, vals2

@@ -16,17 +16,19 @@ operation flows through it exactly as the paper describes (Section 3.2):
    programs compute real results.
 
 Because steps 1 and 4 are overwhelmingly the common case — a TLB hit
-followed by an L1 hit with sufficient permission — the port takes a
-combined **fast path** for them: the TLB entry yields the physical
-address with zero latency and the coherent L1 is probed through
-:meth:`~repro.coherence.protocol.CoherentMemorySystem.l1_load_hit_ps` /
-``l1_store_hit_ps``, which perform the identical state transitions and
-counter updates but skip the per-access ``AccessResult`` allocation and
-enum dispatch of the general transaction path.  Anything else — TLB miss,
-L1 miss, upgrade-from-invalid — falls back to the unchanged general path,
-so timing and statistics are bit-for-bit identical either way
-(``fast_path=False`` keeps the legacy path selectable; the
-``benchmarks/test_access_path.py`` microbenchmark measures the win).
+followed by an L1 hit with sufficient permission — :meth:`CoreMemoryPort.load`
+and :meth:`~CoreMemoryPort.store` serve it inline on **one fused hit
+path**.  The port binds the TLB entry table, the L1 tag store, the counter
+dicts and the word store once, and a hit does the general path's LRU move,
+replacement touch, state/dirty transition and counter increments, in the
+same order, without a further call chain.  Anything else — TLB miss, L1
+miss, upgrade from SHARED/OWNED, atomics, an out-of-range address, a
+non-MOESI state — falls through to the unchanged general path, so timing,
+statistics and errors are bit-for-bit identical either way.  The general
+path alone runs when ``fast_path=False`` (the reference oracle), when a
+sequential-consistency checker is attached, or when the shape has no TLB.
+Batches (:meth:`~CoreMemoryPort.run_batch` and friends) are one loop with
+the same hit path inlined.
 
 :class:`MemoryPort` is the structural protocol all port implementations
 share — this one, the APU baseline's :class:`~repro.baseline.cpu.BaselineCPUPort`,
@@ -36,14 +38,16 @@ and the GPU model's internal ports — and is what
 
 from __future__ import annotations
 
-from typing import (Callable, List, Optional, Protocol, Sequence, Tuple,
-                    runtime_checkable)
+from itertools import repeat
+from typing import (Callable, Iterable, List, Optional, Protocol, Sequence,
+                    Tuple, runtime_checkable)
 
 from repro.coherence.protocol import CoherentMemorySystem
+from repro.coherence.states import MOESIState
 from repro.core.consistency import SequentialConsistencyChecker
 from repro.errors import VirtualMemoryError
-from repro.mem.batch import (BatchOp, BatchResult, OP_STORE, run_ccsvm_batch,
-                             scalar_run_batch, split_ops)
+from repro.mem.batch import BatchOp, BatchResult, OP_LOAD, OP_STORE, scalar_op
+from repro.memory.address import PAGE_SHIFT, PAGE_SIZE, WORD_SIZE
 from repro.memory.physical import PhysicalMemory
 from repro.sim.stats import StatsRegistry
 from repro.vm.manager import AddressSpace, VirtualMemoryManager
@@ -53,6 +57,20 @@ from repro.vm.walker import PageTableWalker
 #: Fault handler: ``(port, vaddr, is_write) -> latency_ps``.  CPU ports call
 #: straight into the OS; MTTOP ports are wired to the MIFD's fault forwarding.
 PageFaultHandler = Callable[["CoreMemoryPort", int, bool], int]
+
+# Enum members are singletons: the hit path classifies a line's state with
+# identity checks.  A non-MOESI state matches none of them and falls
+# through to the general path, which raises for it.
+_MODIFIED = MOESIState.MODIFIED
+_OWNED = MOESIState.OWNED
+_EXCLUSIVE = MOESIState.EXCLUSIVE
+_SHARED = MOESIState.SHARED
+
+_PAGE_OFFSET = PAGE_SIZE - 1
+_WORD_ALIGN = ~(WORD_SIZE - 1)
+_WORD_MASK = (1 << 64) - 1
+_SIGN_BIT = 1 << 63
+_TWO_POW_64 = 1 << 64
 
 
 @runtime_checkable
@@ -114,16 +132,63 @@ class CoreMemoryPort:
         self.vm_manager = vm_manager
         self.page_fault_handler = page_fault_handler
         self.stats = stats if stats is not None else StatsRegistry()
-        self.sc_checker = sc_checker
-        self.fast_path = fast_path
-        #: The ``batch_access`` config knob; when off, batch calls loop
-        #: over the scalar methods instead of the columnar engine.
+        self._sc_checker = sc_checker
+        self._fast_path = fast_path
+        #: The ``batch_access`` config knob: whether an MTTOP core hands its
+        #: warp's lane memory ops to :meth:`run_batch` as one batch.
         self.batch_enabled = batch_enabled
         self._space: Optional[AddressSpace] = None
         self._page_faults_stat = f"{node}.page_faults"
         #: Engine time of the issuing core, updated by the core before each
         #: access so SC-checker timestamps are meaningful.
         self.current_time_ps = 0
+        self._hit = self._bind_hit_path()
+
+    # ------------------------------------------------------------------ #
+    # Fused hit path binding
+    # ------------------------------------------------------------------ #
+    @property
+    def fast_path(self) -> bool:
+        """Whether the fused TLB-hit + L1-hit path may serve accesses."""
+        return self._fast_path
+
+    @fast_path.setter
+    def fast_path(self, enabled: bool) -> None:
+        self._fast_path = enabled
+        self._hit = self._bind_hit_path()
+
+    @property
+    def sc_checker(self) -> Optional[SequentialConsistencyChecker]:
+        """The attached sequential-consistency checker, if any."""
+        return self._sc_checker
+
+    @sc_checker.setter
+    def sc_checker(self, checker: Optional[SequentialConsistencyChecker]) -> None:
+        self._sc_checker = checker
+        self._hit = self._bind_hit_path()
+
+    def _bind_hit_path(self) -> Optional[tuple]:
+        """Bind what a TLB-hit + L1-hit access touches, or ``None``.
+
+        ``None`` — general path only — when the fast path is off, an SC
+        checker must see every access, the shape has no TLB, or no L1 is
+        registered for this node (the general path then raises for it).
+        Every container bound here is only ever mutated in place (cleared,
+        never rebound), so the binding holds for the port's lifetime.
+        """
+        info = self.coherence._l1s.get(self.node)
+        tlb = self.tlb
+        if (not self._fast_path or self._sc_checker is not None
+                or tlb is None or info is None):
+            return None
+        cache = info.cache
+        memory = self.physical_memory
+        return (tlb._entries, tlb.stats._counters, tlb._hits_stat,
+                cache._where, cache._sets, cache._policies,
+                self.coherence._line_mask & cache._line_mask,
+                cache.stats._counters, cache._hits_stat,
+                self.coherence.stats._counters, info.hit_latency_ps,
+                memory._words, memory.size_bytes - WORD_SIZE)
 
     # ------------------------------------------------------------------ #
     # Address-space (CR3) management
@@ -203,9 +268,9 @@ class CoreMemoryPort:
     def _resolve_load(self, vaddr: int) -> Tuple[int, int]:
         """Translate + obtain read permission; returns ``(paddr, latency)``.
 
-        The combined fast path: a TLB hit yields the physical address for
-        free and the coherent L1 is probed for a read hit; everything
-        else falls back to the general transaction path.
+        The general path.  With the fast path on, a TLB hit yields the
+        physical address for free and the coherent L1 is probed for a read
+        hit; everything else takes the full transaction path.
         """
         if self.fast_path and self.tlb is not None:
             entry = self.tlb.lookup(vaddr)
@@ -249,6 +314,30 @@ class CoreMemoryPort:
 
     def load(self, vaddr: int) -> Tuple[int, int]:
         """Coherent load of the word at ``vaddr``; returns ``(value, latency_ps)``."""
+        hit = self._hit
+        if hit is not None:
+            (entries, tlb_counts, tlb_hits, where, sets, policies, line_mask,
+             cache_counts, cache_hits, counts, hit_ps, words, top) = hit
+            vpn = vaddr >> PAGE_SHIFT
+            entry = entries.get(vpn)
+            if entry is not None:
+                paddr = entry.frame_address + (vaddr & _PAGE_OFFSET)
+                loc = where.get(paddr & line_mask)
+                if loc is not None and 0 <= paddr <= top:
+                    set_index, way = loc
+                    state = sets[set_index][way].state
+                    if (state is _MODIFIED or state is _EXCLUSIVE
+                            or state is _SHARED or state is _OWNED):
+                        entries.move_to_end(vpn)
+                        tlb_counts[tlb_hits] += 1
+                        policies[set_index].touch(way)
+                        cache_counts[cache_hits] += 1
+                        counts["coherence.accesses.load"] += 1
+                        counts["coherence.l1_hits"] += 1
+                        # Stored words are already masked to 64 bits.
+                        word = words.get(paddr & _WORD_ALIGN, 0)
+                        return (word - _TWO_POW_64 if word >= _SIGN_BIT
+                                else word), hit_ps
         paddr, latency = self._resolve_load(vaddr)
         value = self.physical_memory.read_word(paddr)
         if self.sc_checker is not None:
@@ -257,6 +346,30 @@ class CoreMemoryPort:
 
     def store(self, vaddr: int, value: int) -> int:
         """Coherent store of ``value`` to ``vaddr``; returns the latency."""
+        hit = self._hit
+        if hit is not None:
+            (entries, tlb_counts, tlb_hits, where, sets, policies, line_mask,
+             cache_counts, cache_hits, counts, hit_ps, words, top) = hit
+            vpn = vaddr >> PAGE_SHIFT
+            entry = entries.get(vpn)
+            if entry is not None:
+                paddr = entry.frame_address + (vaddr & _PAGE_OFFSET)
+                loc = where.get(paddr & line_mask)
+                if loc is not None and 0 <= paddr <= top:
+                    set_index, way = loc
+                    block = sets[set_index][way]
+                    state = block.state
+                    if state is _MODIFIED or state is _EXCLUSIVE:
+                        entries.move_to_end(vpn)
+                        tlb_counts[tlb_hits] += 1
+                        policies[set_index].touch(way)
+                        cache_counts[cache_hits] += 1
+                        counts["coherence.accesses.store"] += 1
+                        block.state = _MODIFIED
+                        block.dirty = True
+                        counts["coherence.l1_hits"] += 1
+                        words[paddr & _WORD_ALIGN] = value & _WORD_MASK
+                        return hit_ps
         paddr, latency = self._resolve_write(vaddr, atomic=False)
         self.physical_memory.write_word(paddr, value)
         if self.sc_checker is not None:
@@ -292,36 +405,82 @@ class CoreMemoryPort:
     # ------------------------------------------------------------------ #
     # Batched access
     # ------------------------------------------------------------------ #
-    def _use_columnar(self) -> bool:
-        """Whether the columnar engine may run instead of a scalar loop.
-
-        The engine replicates exactly the combined fast path, so it
-        requires the same preconditions: fast path on, a TLB with the
-        standard page geometry, and no SC checker (the checker records
-        per-access orderings the bulk path would have to replay anyway).
-        """
-        tlb = self.tlb
-        return (self.batch_enabled and self.fast_path
-                and self.sc_checker is None
-                and tlb is not None and tlb.batch_shift is not None)
-
     def run_batch(self, ops: Sequence[BatchOp]) -> BatchResult:
         """Run a mixed op batch in order; see :mod:`repro.mem.batch`."""
-        vaddrs, kinds, vals, vals2 = split_ops(ops)
-        if self._use_columnar():
-            return run_ccsvm_batch(self, vaddrs, kinds, vals, vals2)
-        return scalar_run_batch(self, vaddrs, kinds, vals, vals2)
+        return self._run(ops)
 
     def load_batch(self, vaddrs: Sequence[int]) -> BatchResult:
         """Load a vector of addresses; returns ``(values, latencies)``."""
-        if self._use_columnar():
-            return run_ccsvm_batch(self, vaddrs, None, None, None)
-        return scalar_run_batch(self, vaddrs, None, None, None)
+        return self._run(zip(repeat(OP_LOAD), vaddrs, repeat(0), repeat(0)))
 
     def store_batch(self, vaddrs: Sequence[int],
                     values: Sequence[int]) -> List[int]:
         """Store a vector of values; returns the per-op latencies."""
-        kinds = [OP_STORE] * len(vaddrs)
-        if self._use_columnar():
-            return run_ccsvm_batch(self, vaddrs, kinds, values, None)[1]
-        return scalar_run_batch(self, vaddrs, kinds, values, None)[1]
+        if len(values) < len(vaddrs):
+            # zip() would silently drop the unmatched addresses.
+            raise IndexError(f"{len(vaddrs)} addresses but only "
+                             f"{len(values)} values")
+        return self._run(zip(repeat(OP_STORE), vaddrs, values, repeat(0)))[1]
+
+    def _run(self, ops: Iterable[BatchOp]) -> BatchResult:
+        """The batch loop: :meth:`load`/:meth:`store`'s hit path inlined,
+        every other op through the scalar methods, all in op order."""
+        values: List[object] = []
+        lats: List[int] = []
+        add_value = values.append
+        add_lat = lats.append
+        hit = self._hit
+        if hit is None:
+            for kind, vaddr, a, b in ops:
+                value, lat = scalar_op(self, kind, vaddr, a, b)
+                add_value(value)
+                add_lat(lat)
+            return values, lats
+        (entries, tlb_counts, tlb_hits, where, sets, policies, line_mask,
+         cache_counts, cache_hits, counts, hit_ps, words, top) = hit
+        get_entry = entries.get
+        move = entries.move_to_end
+        get_loc = where.get
+        read = words.get
+        for kind, vaddr, a, b in ops:
+            if kind == OP_LOAD or kind == OP_STORE:
+                vpn = vaddr >> PAGE_SHIFT
+                entry = get_entry(vpn)
+                if entry is not None:
+                    paddr = entry.frame_address + (vaddr & _PAGE_OFFSET)
+                    loc = get_loc(paddr & line_mask)
+                    if loc is not None and 0 <= paddr <= top:
+                        set_index, way = loc
+                        block = sets[set_index][way]
+                        state = block.state
+                        if kind == OP_LOAD:
+                            if (state is _MODIFIED or state is _EXCLUSIVE
+                                    or state is _SHARED or state is _OWNED):
+                                move(vpn)
+                                tlb_counts[tlb_hits] += 1
+                                policies[set_index].touch(way)
+                                cache_counts[cache_hits] += 1
+                                counts["coherence.accesses.load"] += 1
+                                counts["coherence.l1_hits"] += 1
+                                word = read(paddr & _WORD_ALIGN, 0)
+                                add_value(word - _TWO_POW_64
+                                          if word >= _SIGN_BIT else word)
+                                add_lat(hit_ps)
+                                continue
+                        elif state is _MODIFIED or state is _EXCLUSIVE:
+                            move(vpn)
+                            tlb_counts[tlb_hits] += 1
+                            policies[set_index].touch(way)
+                            cache_counts[cache_hits] += 1
+                            counts["coherence.accesses.store"] += 1
+                            block.state = _MODIFIED
+                            block.dirty = True
+                            counts["coherence.l1_hits"] += 1
+                            words[paddr & _WORD_ALIGN] = a & _WORD_MASK
+                            add_value(None)
+                            add_lat(hit_ps)
+                            continue
+            value, lat = scalar_op(self, kind, vaddr, a, b)
+            add_value(value)
+            add_lat(lat)
+        return values, lats

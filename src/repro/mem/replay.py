@@ -87,7 +87,8 @@ from repro.mem.assemble import (
     build_l2_banks,
     build_l3_level,
 )
-from repro.mem.batch import OP_ATOMIC_ADD, OP_ATOMIC_CAS, OP_LOAD, OP_STORE
+from repro.mem.batch import (OP_ATOMIC_ADD, OP_ATOMIC_CAS, OP_LOAD, OP_STORE,
+                             scalar_op)
 from repro.mem.port import CoreMemoryPort
 from repro.mem.trace import Trace, TraceError
 from repro.memory.dram import DRAMModel
@@ -261,79 +262,44 @@ def _mifd_placement(trace: Trace, simd_width: int,
     return placement
 
 
-class _PortWalker:
-    """Feeds one interleaved trace through a set of ports.
+# --------------------------------------------------------------------------- #
+# Trace programs — interleave and dispatch once, replay per shape
+# --------------------------------------------------------------------------- #
+class _ProgramBuilder:
+    """Compiles one interleaved trace into a flat replay program.
 
-    The batch lane coalesces consecutive plain memory ops bound for the
-    same node into one ``port.run_batch`` call (the columnar engine is
-    counter- and latency-identical to the scalar loop, so coalescing is
-    free); any other operation flushes the pending batch first.  Batches
-    are capped at :data:`_BATCH_CAP` ops: the engine's per-segment gather
-    window scales with the batch, so an unbounded batch turns segment
-    restarts (cold misses, atomics) super-linear.  The cap is invisible —
-    splitting a batch anywhere is counter- and latency-identical.
-
+    Consecutive plain memory ops bound for the same node coalesce into
+    one batch instruction (a batch is counter- and latency-identical to
+    issuing its ops one by one, so coalescing is free and a batch may be
+    any length); any other operation flushes the pending batch first.
     The grouping depends only on the trace (never on the hierarchy
-    shape), so :func:`_compile` runs this lane once per trace to produce
-    a flat program that every subsequent shape evaluation replays without
+    shape), so every shape evaluation replays the same program without
     re-interleaving streams or re-dispatching operation types.
+
+    Instructions (plain tuples, shape-independent):
+
+    * ``("B", node, ops)`` — a coalesced run of plain memory op tuples;
+    * ``("M", size)`` / ``("F", vaddr)`` — allocator calls;
+    * ``("X", node, sense_vaddr)`` — a barrier's sense read-and-flip
+      (value-dependent, so it stays scalar at run time).
     """
 
-    _BATCH_CAP = 1024
-
-    def __init__(self, ports: Dict[str, object], engine: str) -> None:
-        if engine not in ("batch", "scalar"):
-            raise TraceError(f"unknown replay engine {engine!r} "
-                             "(expected 'batch' or 'scalar')")
-        self.ports = ports
-        self.batched = engine == "batch"
-        self.time_ps = 0
-        self.operations = 0
+    def __init__(self) -> None:
+        self.program: List[tuple] = []
         self._pending: List[tuple] = []
         self._pending_node: Optional[str] = None
 
-    # -- batch lane ---------------------------------------------------- #
     def _flush(self) -> None:
-        if not self._pending:
-            return
-        port = self.ports[self._pending_node]
-        if len(self._pending) < 4:
-            # Device streams interleave nodes op-by-op; runt batches are
-            # cheaper through the scalar port calls (counter-identical —
-            # the engine guarantees batch == scalar at any split).
-            for op in self._pending:
-                self._scalar(port, op)
+        if self._pending:
+            self.program.append(("B", self._pending_node, self._pending))
             self._pending = []
-            return
-        _values, lats = port.run_batch(self._pending)
-        self.time_ps += sum(lats)
-        self.operations += len(self._pending)
-        self._pending = []
-
-    def _scalar(self, port, op: tuple) -> None:
-        kind = op[0]
-        if kind == OP_LOAD:
-            _value, lat = port.load(op[1])
-        elif kind == OP_STORE:
-            lat = port.store(op[1], op[2])
-        elif kind == OP_ATOMIC_ADD:
-            _value, lat = port.atomic_add(op[1], op[2])
-        else:
-            _value, lat = port.atomic_cas(op[1], op[2], op[3])
-        self.time_ps += lat
-        self.operations += 1
 
     def _push(self, node: str, op: tuple) -> None:
-        if self.batched:
-            if self._pending and (self._pending_node != node or
-                                  len(self._pending) >= self._BATCH_CAP):
-                self._flush()
-            self._pending_node = node
-            self._pending.append(op)
-            return
-        self._scalar(self.ports[node], op)
+        if self._pending and self._pending_node != node:
+            self._flush()
+        self._pending_node = node
+        self._pending.append(op)
 
-    # -- per-operation dispatch ---------------------------------------- #
     def memory_op(self, node: str, operation) -> bool:
         """Push ``operation`` if it is a plain memory op; False otherwise."""
         if isinstance(operation, Load):
@@ -362,44 +328,6 @@ class _PortWalker:
         else:
             return False
         return True
-
-    def scalar_load(self, node: str, vaddr: int) -> int:
-        self._flush()
-        port = self.ports[node]
-        value, lat = port.load(vaddr)
-        self.time_ps += lat
-        self.operations += 1
-        return value
-
-    def scalar_store(self, node: str, vaddr: int, value: int) -> None:
-        self._flush()
-        port = self.ports[node]
-        self.time_ps += port.store(vaddr, value)
-        self.operations += 1
-
-
-# --------------------------------------------------------------------------- #
-# Trace programs — interleave and dispatch once, replay per shape
-# --------------------------------------------------------------------------- #
-class _ProgramBuilder(_PortWalker):
-    """A :class:`_PortWalker` whose flushes emit program instructions.
-
-    Instructions (plain tuples, shape-independent):
-
-    * ``("B", node, ops)`` — a coalesced run of plain memory op tuples;
-    * ``("M", size)`` / ``("F", vaddr)`` — allocator calls;
-    * ``("X", node, sense_vaddr)`` — a barrier's sense read-and-flip
-      (value-dependent, so it stays scalar at run time).
-    """
-
-    def __init__(self) -> None:
-        super().__init__(ports={}, engine="batch")
-        self.program: List[tuple] = []
-
-    def _flush(self) -> None:
-        if self._pending:
-            self.program.append(("B", self._pending_node, self._pending))
-            self._pending = []
 
     def emit(self, instruction: tuple) -> None:
         self._flush()
@@ -495,9 +423,8 @@ def _run_program(program: List[tuple], ports: Dict[str, object],
                  batched: bool, do_malloc, do_free) -> Tuple[int, int]:
     """Execute a compiled program; returns ``(time_ps, operations)``.
 
-    Counter- and latency-identical to walking the trace through a
-    :class:`_PortWalker`: the program *is* that walker's batch grouping,
-    precomputed.
+    Counter- and latency-identical to issuing every op of the trace one
+    by one: the program only groups them.
     """
     time_ps = 0
     operations = 0
@@ -506,21 +433,14 @@ def _run_program(program: List[tuple], ports: Dict[str, object],
         if tag == "B":
             ops = ins[2]
             port = ports[ins[1]]
+            # Device streams interleave nodes op by op; runt batches are
+            # cheaper as scalar port calls (identical at any split).
             if batched and len(ops) >= 4:
                 _values, lats = port.run_batch(ops)
                 time_ps += sum(lats)
             else:
                 for op in ops:
-                    kind = op[0]
-                    if kind == OP_LOAD:
-                        _value, lat = port.load(op[1])
-                    elif kind == OP_STORE:
-                        lat = port.store(op[1], op[2])
-                    elif kind == OP_ATOMIC_ADD:
-                        _value, lat = port.atomic_add(op[1], op[2])
-                    else:
-                        _value, lat = port.atomic_cas(op[1], op[2], op[3])
-                    time_ps += lat
+                    time_ps += scalar_op(port, *op)[1]
             operations += len(ops)
         elif tag == "M":
             do_malloc(ins[1])
@@ -570,8 +490,8 @@ def replay_trace(trace: Union[Trace, str],
     """Replay a trace (object or file path) through a CCSVM hierarchy
     shape, cache-only.
 
-    ``engine='batch'`` coalesces same-node runs of plain memory ops
-    through the columnar batch engine; ``'scalar'`` walks the unchanged
+    ``engine='batch'`` coalesces same-node runs of plain memory ops into
+    ``port.run_batch`` calls; ``'scalar'`` issues every op through the
     per-word port methods.  Both produce identical counters and time.
     """
     if engine not in ("batch", "scalar"):

@@ -14,6 +14,9 @@ from repro.errors import AlignmentError
 #: Size of a virtual-memory page in bytes (x86 small pages).
 PAGE_SIZE = 4096
 
+#: ``log2(PAGE_SIZE)``: ``address >> PAGE_SHIFT`` is the page number.
+PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+
 #: Size of a cache line in bytes (Table 2 systems use 64-byte lines).
 CACHE_LINE_SIZE = 64
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import TLBError
-from repro.memory.address import PAGE_SIZE, is_power_of_two
-from repro.sim import columnar
+from repro.memory.address import PAGE_SHIFT, PAGE_SIZE
 from repro.sim.stats import StatsRegistry
 
 #: One contiguous run of batch operations falling on the same page:
@@ -46,12 +45,19 @@ class TLB:
         Capacity in translations (64 for every core in Table 2).
     stats / name:
         Hit/miss/flush counters are recorded as ``<name>.hits`` etc.
+    page_size:
+        Must be :data:`~repro.memory.address.PAGE_SIZE`: cached entries
+        apply that page offset (:meth:`TLBEntry.physical_address`), so any
+        other size would mistranslate.
     """
 
     def __init__(self, entries: int = 64, stats: Optional[StatsRegistry] = None,
                  name: str = "tlb", page_size: int = PAGE_SIZE) -> None:
         if entries <= 0:
             raise TLBError("a TLB must have at least one entry")
+        if page_size != PAGE_SIZE:
+            raise TLBError(f"TLB page size must be {PAGE_SIZE} bytes, "
+                           f"got {page_size}")
         self.capacity = entries
         self.page_size = page_size
         self.name = name
@@ -61,13 +67,6 @@ class TLB:
         # access, so per-call f-string construction is measurable.
         self._hits_stat = f"{name}.hits"
         self._misses_stat = f"{name}.misses"
-        # The columnar probe uses shifts for vpn extraction and delegates
-        # page-offset math to TLBEntry.physical_address's PAGE_SIZE, so it
-        # only engages for the standard power-of-two page geometry.
-        self.batch_shift: Optional[int] = (
-            page_size.bit_length() - 1
-            if is_power_of_two(page_size) and page_size == PAGE_SIZE else None
-        )
 
     # ------------------------------------------------------------------ #
     # Lookup / insert
@@ -96,67 +95,38 @@ class TLB:
         self.stats.add(f"{self.name}.fills")
 
     # ------------------------------------------------------------------ #
-    # Columnar probe (batched access engine)
+    # Pure prefix probe
     # ------------------------------------------------------------------ #
     def translate_batch(self, vaddrs: Sequence[int], lo: int,
                         hi: int) -> Tuple[int, List[PageRun], List[int]]:
         """Translate the maximal TLB-hit prefix of ``vaddrs[lo:hi]``.
 
-        Pure gather: no LRU update and no counters — the caller commits
-        exactly the prefix it ends up executing via :meth:`commit_batch`,
-        and any op past the returned ``stop`` retries through the scalar
-        :meth:`lookup`, which records its own hit or miss.  Returns
-        ``(stop, page_runs, paddrs)`` where ``paddrs[i]`` translates
-        ``vaddrs[lo + i]`` for ``lo <= lo + i < stop``.  ``paddrs`` is
-        whatever sequence the columnar kernel produces (an ndarray under
-        numpy, a list otherwise) — consumers index and slice it, they
-        must not assume a concrete type.
+        Pure: no LRU update and no counters.  Returns ``(stop, page_runs,
+        paddrs)`` where ``paddrs[i]`` translates ``vaddrs[lo + i]`` for
+        ``lo <= lo + i < stop`` and ``stop`` is the first op whose page
+        is not cached.  No :mod:`repro` code calls it; the benchmark's
+        layer table (``perfbench/layers.py``) wraps it by name.
         """
-        shift = self.batch_shift
-        if shift is None:
-            raise TLBError(f"{self.name}: columnar probe needs standard pages")
-        keys = columnar.shift_keys(vaddrs, lo, hi, shift)
-        starts = columnar.run_starts(keys)
-        # Native ints once per batch: per-run ndarray indexing and
-        # numpy-scalar hashing are several times a dict probe each.
-        keys = keys.tolist()
         entries = self._entries
         runs: List[PageRun] = []
-        parts: List[Sequence[int]] = []
-        count = hi - lo
-        for index, run_lo in enumerate(starts):
-            run_hi = starts[index + 1] if index + 1 < len(starts) else count
-            vpn = keys[run_lo]
-            entry = entries.get(vpn)
-            if entry is None:
-                paddrs = columnar.concat_runs(parts) if parts else []
-                return lo + run_lo, runs, paddrs
-            delta = entry.frame_address - (vpn << shift)
-            parts.append(columnar.add_delta(vaddrs, lo + run_lo,
-                                            lo + run_hi, delta))
-            runs.append((lo + run_lo, lo + run_hi, vpn))
-        return hi, runs, (columnar.concat_runs(parts) if parts else [])
-
-    def commit_batch(self, runs: Sequence[PageRun], lo: int, stop: int,
-                     first: int = 0) -> None:
-        """Apply LRU updates and hit counters for ops ``[lo, stop)``.
-
-        One ``move_to_end`` per page run replaces the scalar path's
-        per-access move; consecutive moves of the same page are idempotent
-        for recency order, so the final LRU state is identical.  ``first``
-        lets a caller reusing one translation across several commits skip
-        runs wholly before ``lo`` (re-moving those would put pages ahead
-        of ones the scalar sequence touched later).
-        """
-        if stop <= lo:
-            return
-        move = self._entries.move_to_end
-        for index in range(first, len(runs)):
-            run_lo, _run_hi, vpn = runs[index]
-            if run_lo >= stop:
-                break
-            move(vpn)
-        self.stats.add(self._hits_stat, stop - lo)
+        paddrs: List[int] = []
+        run_lo = lo
+        vpn = None
+        entry = None
+        for index in range(lo, hi):
+            vaddr = vaddrs[index]
+            page = vaddr >> PAGE_SHIFT
+            if page != vpn:
+                if entry is not None:
+                    runs.append((run_lo, index, vpn))
+                entry = entries.get(page)
+                if entry is None:
+                    return index, runs, paddrs
+                run_lo, vpn = index, page
+            paddrs.append(entry.frame_address + (vaddr & (PAGE_SIZE - 1)))
+        if entry is not None:
+            runs.append((run_lo, hi, vpn))
+        return hi, runs, paddrs
 
     # ------------------------------------------------------------------ #
     # Coherence operations

@@ -1,5 +1,7 @@
 """Tests for the set-associative cache tag store."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,3 +139,49 @@ class TestGeometry:
         # Every resident line must be findable through lookup.
         for block in cache.blocks():
             assert cache.peek(block.line_address) is block
+
+
+class TestLazyReplacementState:
+    """A set's replacement policy is built by its first fill; victims are
+    exactly those of policies built for every set up front."""
+
+    @staticmethod
+    def _victims(policy, eager):
+        cache = SetAssociativeCache(
+            CacheConfig(size_bytes=4096, associativity=4,
+                        replacement=policy, name="lazy"))
+        if eager:
+            cache._policies[:] = [cache._new_policy()
+                                  for _ in range(cache._num_sets)]
+        rng = random.Random(11)
+        victims = []
+        for _ in range(3000):
+            address = 64 * rng.randrange(256)
+            roll = rng.random()
+            if roll < 0.1:
+                cache.evict(address)
+            elif cache.lookup(address) is None:
+                _, victim = cache.insert(address)
+                victims.append(None if victim is None
+                               else victim.line_address)
+        return victims
+
+    @pytest.mark.parametrize("policy", ["lru", "plru", "random"])
+    def test_victims_match_eager_construction(self, policy):
+        lazy = self._victims(policy, eager=False)
+        assert any(victim is not None for victim in lazy)
+        assert lazy == self._victims(policy, eager=True)
+
+    def test_no_policy_before_first_fill(self):
+        cache = make_cache()
+        assert cache._policies == [None] * cache._num_sets
+        cache.insert(0)
+        assert cache._policies[0] is not None
+        assert cache._policies[1:] == [None] * (cache._num_sets - 1)
+
+    @pytest.mark.parametrize("policy, assoc", [("fifo", 2), ("plru", 3)])
+    def test_bad_policy_rejected_at_construction(self, policy, assoc):
+        config = CacheConfig(size_bytes=assoc * 64 * 4, associativity=assoc,
+                             replacement=policy)
+        with pytest.raises(CacheError):
+            SetAssociativeCache(config)

@@ -1,12 +1,14 @@
-"""The batched access engine is bit-identical to the scalar MOESI path.
+"""Batched access is bit-identical to the reference access path.
 
 Every test streams the same randomized mixed operation sequence through a
-batched port and a scalar port on identically-built systems, and demands
-identical values, identical per-op latencies, and an identical full
-statistics registry — the batch engine's contract is pure speed, zero
+batching port and through the reference path on identically-built
+systems, and demands identical values, identical per-op latencies, and an
+identical statistics registry — counter insertion order included, since
+``--stats`` prints in that order.  A batch's contract is pure speed, zero
 observable difference.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -19,23 +21,9 @@ from repro.mem.batch import (
     OP_ATOMIC_CAS,
     OP_LOAD,
     OP_STORE,
+    scalar_op,
     split_ops,
 )
-from repro.sim import columnar
-
-KERNELS = ["python"] + (["numpy"] if columnar.USING_NUMPY else [])
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request):
-    """Run the test body under each available columnar kernel."""
-    if request.param == "numpy":
-        columnar.use_numpy_kernel()
-    else:
-        columnar.use_python_kernel()
-    yield request.param
-    if not columnar.use_numpy_kernel():
-        columnar.use_python_kernel()
 
 
 # --------------------------------------------------------------------------- #
@@ -44,9 +32,9 @@ def kernel(request):
 def mixed_ops(rng, regions, count, page_bytes=4096):
     """A mixed load/store/atomic stream over several allocated regions.
 
-    Touches cold pages (page-fault residue), revisits hot words (the
-    columnar path), crosses lines and pages (run boundaries), and stores
-    negative values (sign conversion).
+    Touches cold pages (page-fault fallbacks), revisits hot words (the
+    hit path), crosses lines and pages, and stores negative values (sign
+    conversion).
     """
     words_per_region = page_bytes // 8
     ops = []
@@ -75,17 +63,21 @@ def chunked(ops, rng):
     return chunks
 
 
+def _counters(stats):
+    """The registry's counters as an item list, insertion order included."""
+    return list(stats.to_dict().items())
+
+
 # --------------------------------------------------------------------------- #
-# CCSVM (MOESI + TLB) equivalence
+# CCSVM (MOESI + TLB) equivalence against the fast_path=False oracle
 # --------------------------------------------------------------------------- #
-def _ccsvm_stream(config, batch, ops_seed, disturb):
-    """Run one deterministic stream; return (values, latencies, stats)."""
+def _ccsvm_stream(config, fast, ops_seed, disturb):
+    """Run one deterministic stream; return (values, latencies, counters)."""
     rng = random.Random(ops_seed)
-    chip = CCSVMChip(config)
+    chip = CCSVMChip(config, fast_access_path=fast)
     chip.create_process("batch_eq")
     regions = [chip.malloc(4096) for _ in range(6)]
     port = chip.cpu_cores[0].memory_port
-    port.batch_enabled = batch
     other = chip.mttop_cores[0].memory_port
     other.set_address_space(chip.process_space)
 
@@ -97,70 +89,111 @@ def _ccsvm_stream(config, batch, ops_seed, disturb):
             # stores hit the MOESI upgrade fallback.
             other.load(chunk[0][1])
         if disturb and number % 11 == 5 and port.tlb is not None:
-            # A TLB invalidation lands between gather and the next batch —
-            # the shootdown race the residue path must absorb.
+            # A TLB invalidation lands between batches.
             port.tlb.invalidate(chunk[-1][1])
         chunk_values, chunk_latencies = port.run_batch(chunk)
         values.extend(chunk_values)
         latencies.extend(chunk_latencies)
-    return values, latencies, chip.stats.to_dict()
+    return values, latencies, _counters(chip.stats)
 
 
 class TestCCSVMEquivalence:
     @pytest.mark.parametrize("config_factory", [small_ccsvm_system,
                                                 tiny_caches_ccsvm_system])
     @pytest.mark.parametrize("disturb", [False, True])
-    def test_random_stream_bit_identical(self, config_factory, disturb,
-                                         kernel):
+    def test_random_stream_bit_identical(self, config_factory, disturb):
         outcomes = {
-            batch: _ccsvm_stream(config_factory(), batch, ops_seed=1234,
-                                 disturb=disturb)
-            for batch in (True, False)
+            fast: _ccsvm_stream(config_factory(), fast, ops_seed=1234,
+                                disturb=disturb)
+            for fast in (True, False)
         }
         assert outcomes[True][0] == outcomes[False][0]   # values
         assert outcomes[True][1] == outcomes[False][1]   # latencies
-        assert outcomes[True][2] == outcomes[False][2]   # full stats
+        assert outcomes[True][2] == outcomes[False][2]   # counters
 
-    def test_all_load_fast_lane_bit_identical(self, kernel):
-        def run(batch):
-            chip = CCSVMChip(small_ccsvm_system())
+    def test_all_load_fast_lane_bit_identical(self):
+        def run(fast):
+            chip = CCSVMChip(small_ccsvm_system(), fast_access_path=fast)
             chip.create_process("batch_eq")
             base = chip.malloc(4096)
             port = chip.cpu_cores[0].memory_port
-            port.batch_enabled = batch
             port.store_batch([base + 8 * i for i in range(256)],
                              list(range(-128, 128)))
             out = port.load_batch([base + 8 * ((i * 7) % 256)
                                    for i in range(1024)])
-            return out, chip.stats.to_dict()
+            return out, _counters(chip.stats)
 
         assert run(True) == run(False)
 
-    def test_columnar_engages_on_hot_batches(self):
+    def test_store_batch_rejects_missing_values(self):
         chip = CCSVMChip(small_ccsvm_system())
         chip.create_process("batch_eq")
-        base = chip.malloc(4096)
-        port = chip.cpu_cores[0].memory_port
-        assert port._use_columnar()
-        port.load(base)  # warm TLB + L1
-        tlb_misses = chip.stats.get("tlb.cpu0.misses")
-        l1_misses = chip.stats.get("l1d.cpu0.misses")
-        hits = chip.stats.get("l1d.cpu0.hits")
-        port.load_batch([base + 8 * (i % 8) for i in range(512)])
-        # A warm batch commits as pure hits: no TLB or L1 miss creeps in.
-        assert chip.stats.get("tlb.cpu0.misses") == tlb_misses
-        assert chip.stats.get("l1d.cpu0.misses") == l1_misses
-        assert chip.stats.get("l1d.cpu0.hits") == hits + 512
+        base = chip.malloc(64)
+        for port in (chip.cpu_cores[0].memory_port,
+                     AMDAPU().cpu_cores[0].port):
+            with pytest.raises(IndexError):
+                port.store_batch([base, base + 8], [1])
 
     def test_disabled_by_config_flag(self):
-        import dataclasses
+        """``batch_access=false`` only turns off MTTOP lane coalescing."""
         config = dataclasses.replace(small_ccsvm_system(),
                                      batch_access=False)
         chip = CCSVMChip(config)
         chip.create_process("batch_eq")
+        assert not chip.cpu_cores[0].memory_port.batch_enabled
+        assert not chip.mttop_cores[0].memory_port.batch_enabled
+        assert CCSVMChip(small_ccsvm_system()).mttop_cores[0] \
+            .memory_port.batch_enabled
+
+
+# --------------------------------------------------------------------------- #
+# Steady-state mixed batches with atomics
+# --------------------------------------------------------------------------- #
+WORKING_SET_WORDS = 256  # resident in one page and the 8 KiB L1
+
+
+def _steady_ops(count, base):
+    """A 3:1 load:store stream over a resident working set, with atomics."""
+    ops = []
+    for index in range(count):
+        vaddr = base + (index % WORKING_SET_WORDS) * 8
+        slot = index & 15
+        if slot == 7:
+            ops.append((OP_ATOMIC_ADD, vaddr, 1, 0))
+        elif slot == 11:
+            ops.append((OP_ATOMIC_CAS, vaddr, 0, index))
+        elif index & 3:
+            ops.append((OP_LOAD, vaddr, 0, 0))
+        else:
+            ops.append((OP_STORE, vaddr, index, 0))
+    return ops
+
+
+def test_mixed_batch_is_bit_identical_to_scalar():
+    """A warm mixed stream (atomics included) run as 512-op batches gives
+    the values, latencies and counters of the same ops issued one by one
+    through the reference path."""
+    outcomes = {}
+    for batched in (True, False):
+        chip = CCSVMChip(small_ccsvm_system(), fast_access_path=batched)
+        chip.create_process("mixed_batch")
         port = chip.cpu_cores[0].memory_port
-        assert not port.batch_enabled
-        assert not port._use_columnar()
+        base = chip.malloc(WORKING_SET_WORDS * 8)
+        for index in range(WORKING_SET_WORDS):
+            port.store(base + index * 8, index)
+        ops = _steady_ops(4096, base)
+        values, latencies = [], []
+        for start in range(0, len(ops), 512):
+            chunk = ops[start:start + 512]
+            if batched:
+                chunk_values, chunk_latencies = port.run_batch(chunk)
+            else:
+                chunk_values, chunk_latencies = zip(
+                    *(scalar_op(port, *op) for op in chunk))
+            values.extend(chunk_values)
+            latencies.extend(chunk_latencies)
+        outcomes[batched] = (values, latencies, _counters(chip.stats))
+    assert outcomes[True] == outcomes[False]
 
 
 # --------------------------------------------------------------------------- #
@@ -171,44 +204,39 @@ def _apu_stream(batch, ops_seed):
     apu = AMDAPU()
     regions = [apu.allocate(4096) for _ in range(4)]
     port = apu.cpu_cores[0].port
-    port.batch_enabled = batch
     ops = mixed_ops(rng, regions, 1200)
     values, latencies = [], []
     for chunk in chunked(ops, rng):
-        chunk_values, chunk_latencies = port.run_batch(chunk)
+        if batch:
+            chunk_values, chunk_latencies = port.run_batch(chunk)
+        else:
+            chunk_values, chunk_latencies = zip(
+                *(scalar_op(port, *op) for op in chunk))
         values.extend(chunk_values)
         latencies.extend(chunk_latencies)
-    return values, latencies, apu.stats.to_dict()
+    return values, latencies, _counters(apu.stats)
 
 
 class TestAPUEquivalence:
-    def test_random_stream_bit_identical(self, kernel):
+    def test_random_stream_bit_identical(self):
         assert _apu_stream(True, ops_seed=99) == _apu_stream(False,
                                                              ops_seed=99)
 
-    def test_raw_word_semantics_preserved(self, kernel):
-        # FlatMemory stores words raw (no 64-bit wraparound); the batched
-        # data phase must not silently add masking.
-        def run(batch):
-            apu = AMDAPU()
-            base = apu.allocate(64)
-            port = apu.cpu_cores[0].port
-            port.batch_enabled = batch
-            port.store_batch([base, base + 8], [-(2**70), 2**70])
-            return port.load_batch([base, base + 8])[0]
-
-        assert run(True) == run(False) == [-(2**70), 2**70]
+    def test_raw_word_semantics_preserved(self):
+        # FlatMemory stores words raw (no 64-bit wraparound); batches must
+        # not silently add masking.
+        apu = AMDAPU()
+        base = apu.allocate(64)
+        port = apu.cpu_cores[0].port
+        port.store_batch([base, base + 8], [-(2**70), 2**70])
+        assert port.load_batch([base, base + 8])[0] == [-(2**70), 2**70]
+        assert [port.load(base)[0], port.load(base + 8)[0]] == \
+            [-(2**70), 2**70]
 
 
 # --------------------------------------------------------------------------- #
 # split_ops
 # --------------------------------------------------------------------------- #
-def _as_lists(cols):
-    """Normalize split columns for comparison: the kind column may be an
-    ndarray under the numpy kernel (semantically identical elements)."""
-    return tuple(None if col is None else list(col) for col in cols)
-
-
 class TestSplitOps:
     def test_all_loads_collapse_to_fast_lane(self):
         vaddrs, kinds, vals, vals2 = split_ops([(OP_LOAD, 8, 0, 0),
@@ -221,31 +249,7 @@ class TestSplitOps:
                (OP_ATOMIC_CAS, 24, 1, 2)]
         vaddrs, kinds, vals, vals2 = split_ops(ops)
         assert vaddrs == [8, 16, 24]
-        assert list(kinds) == [OP_LOAD, OP_STORE, OP_ATOMIC_CAS]
+        assert kinds == [OP_LOAD, OP_STORE, OP_ATOMIC_CAS]
         assert vals == [0, 5, 1]
         assert vals2 == [0, 0, 2]
-
-    def test_kernels_agree(self, kernel):
-        """Both split kernels produce the same columns for the same
-        randomized mixed stream (including the all-loads collapse)."""
-        rng = random.Random(9)
-        ops = mixed_ops(rng, [4096, 8192], 500)
-        assert _as_lists(split_ops(ops)) == \
-            _as_lists(columnar._split_columns_python(ops))
-        loads = [(OP_LOAD, 8 * index, 0, 0) for index in range(64)]
-        assert _as_lists(split_ops(loads)) == \
-            _as_lists(columnar._split_columns_python(loads))
         assert split_ops([]) == ([], None, None, None)
-
-    @pytest.mark.skipif(not columnar.USING_NUMPY, reason="needs numpy")
-    def test_numpy_kernel_survives_int64_overflow(self):
-        """Operand values past int64 pass through unwrapped (the numpy
-        kernel never converts the operand columns)."""
-        ops = [(OP_STORE, 8, 2 ** 70, 0), (OP_LOAD, 16, 0, 0)]
-        columnar.use_numpy_kernel()
-        try:
-            assert _as_lists(columnar.split_columns(ops)) == \
-                _as_lists(columnar._split_columns_python(ops))
-        finally:
-            if not columnar.use_numpy_kernel():
-                columnar.use_python_kernel()

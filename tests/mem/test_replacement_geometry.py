@@ -47,6 +47,9 @@ class TestReplacementThroughBothMachines:
     def test_override_selects_policy_in_built_l1(self, machine, policy):
         cache = BUILDERS[machine](policy)
         assert cache.config.replacement == policy
+        # A set's policy is built by its first fill.
+        for set_index in range(cache._num_sets):
+            cache.insert(set_index * cache.config.line_size)
         assert all(isinstance(p, POLICY_CLASSES[policy])
                    for p in cache._policies)
 

@@ -96,3 +96,41 @@ class TestCoherenceOperations:
         assert len(tlb) == 0
         assert stats["t.flushes"] == 1
         assert stats["t.flushed_entries"] == 10
+
+
+class TestPageGeometry:
+    def test_standard_page_size_accepted(self):
+        assert TLB(page_size=PAGE_SIZE).page_size == PAGE_SIZE
+
+    @pytest.mark.parametrize("page_size", [2048, 8192, 2 * 1024 * 1024])
+    def test_other_page_sizes_rejected(self, page_size):
+        # Entries apply a PAGE_SIZE offset, so another size would
+        # mistranslate silently.
+        with pytest.raises(TLBError):
+            TLB(page_size=page_size)
+
+
+class TestTranslateBatch:
+    def test_translates_the_hit_prefix_without_side_effects(self):
+        stats = StatsRegistry()
+        tlb = TLB(stats=stats, name="t")
+        tlb.insert(1, 5 * PAGE_SIZE, True)
+        tlb.insert(2, 9 * PAGE_SIZE, True)
+        vaddrs = [PAGE_SIZE + 8, PAGE_SIZE + 16, 2 * PAGE_SIZE, PAGE_SIZE,
+                  3 * PAGE_SIZE, PAGE_SIZE]
+        before = stats.to_dict()
+        stop, runs, paddrs = tlb.translate_batch(vaddrs, 0, len(vaddrs))
+        assert stop == 4
+        assert runs == [(0, 2, 1), (2, 3, 2), (3, 4, 1)]
+        assert paddrs == [5 * PAGE_SIZE + 8, 5 * PAGE_SIZE + 16,
+                          9 * PAGE_SIZE, 5 * PAGE_SIZE]
+        assert stats.to_dict() == before
+        assert list(tlb._entries) == [1, 2]
+
+    def test_window_and_full_hit(self):
+        tlb = TLB()
+        tlb.insert(1, 5 * PAGE_SIZE, True)
+        vaddrs = [0, PAGE_SIZE, PAGE_SIZE + 8]
+        assert tlb.translate_batch(vaddrs, 1, 3) == (
+            3, [(1, 3, 1)], [5 * PAGE_SIZE, 5 * PAGE_SIZE + 8])
+        assert tlb.translate_batch(vaddrs, 0, 3) == (0, [], [])
