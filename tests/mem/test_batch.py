@@ -6,11 +6,17 @@ systems, and demands identical values, identical per-op latencies, and an
 identical statistics registry — counter insertion order included, since
 ``--stats`` prints in that order.  A batch's contract is pure speed, zero
 observable difference.
+
+The stream tests also check every returned value against a functional
+word-memory oracle that knows nothing of caches, TLBs or ports.  The
+oracle comes in two independent implementations, a numpy word array and a
+plain dict, and each test runs once against each.
 """
 
 import dataclasses
 import random
 
+import numpy
 import pytest
 
 from repro.baseline.apu import AMDAPU
@@ -24,6 +30,78 @@ from repro.mem.batch import (
     scalar_op,
     split_ops,
 )
+
+
+# --------------------------------------------------------------------------- #
+# Functional word-memory oracles
+# --------------------------------------------------------------------------- #
+WORD_MASK = (1 << 64) - 1
+
+
+class PythonWords:
+    """Words in a dict keyed by vaddr; ``wrap`` keeps them signed 64-bit."""
+
+    def __init__(self, base, size_bytes, wrap):
+        self.wrap = wrap
+        self._words = {}
+
+    def read(self, vaddr):
+        return self._words.get(vaddr, 0)
+
+    def write(self, vaddr, value):
+        if self.wrap:
+            value &= WORD_MASK
+            value -= (value >> 63) << 64
+        self._words[vaddr] = value
+
+
+class NumpyWords:
+    """Words in a numpy array over ``[base, base + size_bytes)``: int64
+    (two's-complement wraparound) when ``wrap``, raw Python ints if not."""
+
+    def __init__(self, base, size_bytes, wrap):
+        self.base = base
+        self.wrap = wrap
+        self._words = numpy.zeros(size_bytes // 8,
+                                  dtype=numpy.int64 if wrap else object)
+
+    def read(self, vaddr):
+        return int(self._words[(vaddr - self.base) >> 3])
+
+    def write(self, vaddr, value):
+        if self.wrap:
+            value = numpy.uint64(value & WORD_MASK).astype(numpy.int64)
+        self._words[(vaddr - self.base) >> 3] = value
+
+
+ORACLES = {"numpy": NumpyWords, "python": PythonWords}
+
+
+@pytest.fixture(params=sorted(ORACLES))
+def oracle(request):
+    """The word-memory oracle class a test checks its values against."""
+    return ORACLES[request.param]
+
+
+def oracle_values(oracle_class, ops, base, size_bytes, wrap):
+    """What each op must return on a memory that starts all-zero."""
+    words = oracle_class(base, size_bytes, wrap)
+    values = []
+    for kind, vaddr, a, b in ops:
+        old = words.read(vaddr)
+        if kind == OP_LOAD:
+            values.append(old)
+            continue
+        if kind == OP_STORE:
+            words.write(vaddr, a)
+            values.append(None)
+            continue
+        if kind == OP_ATOMIC_ADD:
+            words.write(vaddr, old + a)
+        elif old == a:
+            words.write(vaddr, b)
+        values.append(old)
+    return values
 
 
 # --------------------------------------------------------------------------- #
@@ -72,7 +150,8 @@ def _counters(stats):
 # CCSVM (MOESI + TLB) equivalence against the fast_path=False oracle
 # --------------------------------------------------------------------------- #
 def _ccsvm_stream(config, fast, ops_seed, disturb):
-    """Run one deterministic stream; return (values, latencies, counters)."""
+    """Run one deterministic stream; return (values, latencies, counters,
+    ops, regions)."""
     rng = random.Random(ops_seed)
     chip = CCSVMChip(config, fast_access_path=fast)
     chip.create_process("batch_eq")
@@ -94,14 +173,15 @@ def _ccsvm_stream(config, fast, ops_seed, disturb):
         chunk_values, chunk_latencies = port.run_batch(chunk)
         values.extend(chunk_values)
         latencies.extend(chunk_latencies)
-    return values, latencies, _counters(chip.stats)
+    return values, latencies, _counters(chip.stats), ops, regions
 
 
 class TestCCSVMEquivalence:
     @pytest.mark.parametrize("config_factory", [small_ccsvm_system,
                                                 tiny_caches_ccsvm_system])
     @pytest.mark.parametrize("disturb", [False, True])
-    def test_random_stream_bit_identical(self, config_factory, disturb):
+    def test_random_stream_bit_identical(self, config_factory, disturb,
+                                         oracle):
         outcomes = {
             fast: _ccsvm_stream(config_factory(), fast, ops_seed=1234,
                                 disturb=disturb)
@@ -110,8 +190,12 @@ class TestCCSVMEquivalence:
         assert outcomes[True][0] == outcomes[False][0]   # values
         assert outcomes[True][1] == outcomes[False][1]   # latencies
         assert outcomes[True][2] == outcomes[False][2]   # counters
+        ops, regions = outcomes[True][3], outcomes[True][4]
+        assert outcomes[True][0] == oracle_values(
+            oracle, ops, min(regions), max(regions) + 4096 - min(regions),
+            wrap=True)
 
-    def test_all_load_fast_lane_bit_identical(self):
+    def test_all_load_fast_lane_bit_identical(self, oracle):
         def run(fast):
             chip = CCSVMChip(small_ccsvm_system(), fast_access_path=fast)
             chip.create_process("batch_eq")
@@ -121,9 +205,17 @@ class TestCCSVMEquivalence:
                              list(range(-128, 128)))
             out = port.load_batch([base + 8 * ((i * 7) % 256)
                                    for i in range(1024)])
-            return out, _counters(chip.stats)
+            return out, _counters(chip.stats), base
 
-        assert run(True) == run(False)
+        fast, reference = run(True), run(False)
+        assert fast == reference
+        base = fast[2]
+        ops = ([(OP_STORE, base + 8 * i, value, 0)
+                for i, value in enumerate(range(-128, 128))]
+               + [(OP_LOAD, base + 8 * ((i * 7) % 256), 0, 0)
+                  for i in range(1024)])
+        assert fast[0][0] == oracle_values(oracle, ops, base, 4096,
+                                           wrap=True)[256:]
 
     def test_store_batch_rejects_missing_values(self):
         chip = CCSVMChip(small_ccsvm_system())
@@ -200,6 +292,8 @@ def test_mixed_batch_is_bit_identical_to_scalar():
 # APU (flat memory) equivalence
 # --------------------------------------------------------------------------- #
 def _apu_stream(batch, ops_seed):
+    """Run one deterministic stream; return (values, latencies, counters,
+    ops, regions)."""
     rng = random.Random(ops_seed)
     apu = AMDAPU()
     regions = [apu.allocate(4096) for _ in range(4)]
@@ -214,15 +308,19 @@ def _apu_stream(batch, ops_seed):
                 *(scalar_op(port, *op) for op in chunk))
         values.extend(chunk_values)
         latencies.extend(chunk_latencies)
-    return values, latencies, _counters(apu.stats)
+    return values, latencies, _counters(apu.stats), ops, regions
 
 
 class TestAPUEquivalence:
-    def test_random_stream_bit_identical(self):
-        assert _apu_stream(True, ops_seed=99) == _apu_stream(False,
-                                                             ops_seed=99)
+    def test_random_stream_bit_identical(self, oracle):
+        batched = _apu_stream(True, ops_seed=99)
+        assert batched == _apu_stream(False, ops_seed=99)
+        values, ops, regions = batched[0], batched[3], batched[4]
+        assert values == oracle_values(
+            oracle, ops, min(regions), max(regions) + 4096 - min(regions),
+            wrap=False)
 
-    def test_raw_word_semantics_preserved(self):
+    def test_raw_word_semantics_preserved(self, oracle):
         # FlatMemory stores words raw (no 64-bit wraparound); batches must
         # not silently add masking.
         apu = AMDAPU()
@@ -231,6 +329,10 @@ class TestAPUEquivalence:
         port.store_batch([base, base + 8], [-(2**70), 2**70])
         assert port.load_batch([base, base + 8])[0] == [-(2**70), 2**70]
         assert [port.load(base)[0], port.load(base + 8)[0]] == \
+            [-(2**70), 2**70]
+        ops = [(OP_STORE, base, -(2**70), 0), (OP_STORE, base + 8, 2**70, 0),
+               (OP_LOAD, base, 0, 0), (OP_LOAD, base + 8, 0, 0)]
+        assert oracle_values(oracle, ops, base, 64, wrap=False)[2:] == \
             [-(2**70), 2**70]
 
 
