@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import time
 
-from conftest import run_once
+from conftest import interleaved_ratio, run_once
 
 from repro.sim.engine import Agent, Engine, StepOutcome
 
 AGENTS = 16
 STEPS_PER_AGENT = 20_000
+TRIALS = 7
 
 
 class BusyAgent(Agent):
@@ -37,33 +38,30 @@ class BusyAgent(Agent):
 
 
 def _steps_per_second(scheduler: str, agents: int = AGENTS,
-                      steps: int = STEPS_PER_AGENT, repeats: int = 3) -> float:
-    """Best of ``repeats`` timings, to keep noisy CI runners from flaking."""
-    best = 0.0
-    for _ in range(repeats):
-        engine = Engine(scheduler=scheduler)
-        for index in range(agents):
-            # Coprime-ish strides keep the agents interleaving rather than
-            # stepping in long same-agent bursts.
-            engine.add_agent(BusyAgent(f"agent{index}", steps, 97 + 13 * index))
-        started = time.perf_counter()
-        engine.run()
-        elapsed = time.perf_counter() - started
-        best = max(best, engine.steps_executed / elapsed)
-    return best
+                      steps: int = STEPS_PER_AGENT) -> float:
+    """Steps/second of one timed run under ``scheduler``."""
+    engine = Engine(scheduler=scheduler)
+    for index in range(agents):
+        # Coprime-ish strides keep the agents interleaving rather than
+        # stepping in long same-agent bursts.
+        engine.add_agent(BusyAgent(f"agent{index}", steps, 97 + 13 * index))
+    started = time.perf_counter()
+    engine.run()
+    return engine.steps_executed / (time.perf_counter() - started)
 
 
 def test_engine_heap_scheduler_speedup(benchmark, record_figure, record_results):
     """The heap ready queue is >=2x faster than the linear scan at 16 agents."""
-    heap_rate = run_once(benchmark, _steps_per_second, "heap")
-    linear_rate = _steps_per_second("linear")
-    ratio = heap_rate / linear_rate
+    ratio, heap_rate, linear_rate, ratios = run_once(
+        benchmark, interleaved_ratio,
+        lambda: _steps_per_second("heap"),
+        lambda: _steps_per_second("linear"), TRIALS)
     text = (
         f"Engine scheduling microbenchmark — {AGENTS} agents x "
-        f"{STEPS_PER_AGENT} steps\n"
+        f"{STEPS_PER_AGENT} steps, median of {TRIALS} interleaved trials\n"
         f"heap   scheduler: {heap_rate:12,.0f} steps/s\n"
         f"linear scheduler: {linear_rate:12,.0f} steps/s\n"
-        f"speedup: {ratio:.2f}x"
+        f"speedup: {ratio:.2f}x (trials {min(ratios):.2f}-{max(ratios):.2f}x)"
     )
     record_figure("engine_scheduling", text)
     record_results("engine_scheduling", {
@@ -72,6 +70,8 @@ def test_engine_heap_scheduler_speedup(benchmark, record_figure, record_results)
         "heap_steps_per_s": heap_rate,
         "linear_steps_per_s": linear_rate,
         "speedup": ratio,
+        "trials": TRIALS,
+        "trial_speedups": ratios,
     })
     print("\n" + text)
     assert ratio >= 2.0, (

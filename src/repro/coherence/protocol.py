@@ -20,6 +20,7 @@ on the transaction's critical path.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -29,7 +30,11 @@ from repro.coherence.directory import Directory, DirectoryEntry
 from repro.coherence.messages import MessageType
 from repro.coherence.states import MOESIState
 from repro.errors import CoherenceError
-from repro.interconnect.network import NetworkModel
+from repro.interconnect.network import (
+    CONTROL_MESSAGE_BYTES,
+    DATA_MESSAGE_BYTES,
+    NetworkModel,
+)
 from repro.memory.address import CACHE_LINE_SIZE
 from repro.memory.dram import DRAMModel
 from repro.sim.stats import StatsRegistry
@@ -113,6 +118,12 @@ class CoherentMemorySystem:
         self.l3 = l3
         self._line_mask = ~(line_size - 1)
         self._l1s: Dict[str, _L1Info] = {}
+        # Route-table entries bound as _routes[src][dst][message type], and
+        # the counter dicts _msg charges (registries are only ever cleared
+        # in place, never rebound).
+        self._routes: Dict[str, Dict[str, Dict[MessageType, tuple]]] = {}
+        self._network_counters = network.stats._counters
+        self._counters = self.stats._counters
 
     # ------------------------------------------------------------------ #
     # Registration and address mapping
@@ -142,10 +153,33 @@ class CoherentMemorySystem:
     # Message helpers (latency + accounting)
     # ------------------------------------------------------------------ #
     def _msg(self, src: str, dst: str, mtype: MessageType) -> int:
-        size = 72 if mtype.carries_data else 8
-        message = self.network.send(src, dst, size_bytes=size, kind=mtype.counter_name)
-        self.stats.add(f"coherence.msg.{mtype.counter_name}")
-        return message.latency_ps
+        """Charge one message and return its latency.
+
+        Same counters, same order as :meth:`NetworkModel.send` followed by
+        ``coherence.msg.<type>``, with no per-message allocation.
+        """
+        try:
+            bound = self._routes[src][dst][mtype]
+        except KeyError:
+            bound = self._bind_route(src, dst, mtype)
+        (hops, latency, size, messages_key, kind_key, hops_key, bytes_key,
+         msg_key) = bound
+        network = self._network_counters
+        network[messages_key] += 1
+        network[kind_key] += 1
+        network[hops_key] += hops
+        network[bytes_key] += size
+        self._counters[msg_key] += 1
+        return latency
+
+    def _bind_route(self, src: str, dst: str, mtype: MessageType) -> tuple:
+        """The network's route entry for ``mtype`` plus its coherence key."""
+        size = DATA_MESSAGE_BYTES if mtype.carries_data else CONTROL_MESSAGE_BYTES
+        kind = mtype.counter_name
+        bound = (*self.network.route(src, dst, size, kind),
+                 sys.intern(f"coherence.msg.{kind}"))
+        self._routes.setdefault(src, {}).setdefault(dst, {})[mtype] = bound
+        return bound
 
     # ------------------------------------------------------------------ #
     # Public access API

@@ -54,9 +54,9 @@ class TorusCoordinate:
 class Torus2DTopology(Topology):
     """A 2D torus with dimension-order (X then Y) minimal routing.
 
-    Nodes are placed row-major onto a ``width`` × ``height`` grid; the grid
-    is sized up automatically if more nodes than ``width*height`` are given
-    is an error.  Wrap-around links make the distance in each dimension
+    Nodes are placed row-major onto a ``width`` × ``height`` grid; giving
+    more nodes than ``width*height`` is an error (:meth:`fit` sizes a grid
+    to the nodes).  Wrap-around links make the distance in each dimension
     ``min(|d|, size - |d|)``.
     """
 
@@ -94,8 +94,6 @@ class Torus2DTopology(Topology):
         return min(direct, size - direct)
 
     def hops(self, src: str, dst: str) -> int:
-        if src == dst:
-            return 0
         a = self.coordinate(src)
         b = self.coordinate(dst)
         return (self._wrap_distance(a.x, b.x, self.width)

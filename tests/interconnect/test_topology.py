@@ -47,6 +47,9 @@ class TestTorus:
         torus = Torus2DTopology(["a"], 1, 1)
         with pytest.raises(InterconnectError):
             torus.hops("a", "zzz")
+        # Even a "self" message needs a node that exists.
+        with pytest.raises(InterconnectError):
+            torus.hops("zzz", "zzz")
 
     def test_too_many_nodes_rejected(self):
         with pytest.raises(InterconnectError):
