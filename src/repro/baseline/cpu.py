@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.baseline.memory import FlatMemory, PrivateCacheHierarchy
-from repro.cores.interpreter import ThreadContext, ThreadProgram, execute_memory_operation
-from repro.cores.isa import Compute, Free, Malloc
+from repro.cores.interpreter import (COMPUTE, FREE, MALLOC, OP_TABLE,
+                                    ZERO_OUTCOME, OpOutcome, ThreadContext,
+                                    ThreadProgram)
 from repro.errors import KernelProgramError
 from repro.mem.batch import (BatchOp, BatchResult, OP_STORE, scalar_run_batch,
                              split_ops)
@@ -106,10 +107,14 @@ class BaselineCPUCore:
         self.stats = stats if stats is not None else StatsRegistry()
         self._issue_ps = clock.cycles_to_ps(cycles_per_instruction)
         self._malloc_ps = int(malloc_ns * 1_000)
+        self._mallocs_stat = f"{name}.mallocs"
+        self._instructions_stat = f"{name}.instructions"
 
     def run(self, program: ThreadProgram) -> BaselineRunResult:
         """Execute ``program`` to completion and return its time."""
         context = ThreadContext(tid=0, program=program)
+        table = OP_TABLE
+        issue_ps = self._issue_ps
         elapsed = 0
         instructions = 0
         while True:
@@ -117,47 +122,37 @@ class BaselineCPUCore:
             if operation is None:
                 break
             instructions += 1
-            elapsed += self._issue_ps
+            elapsed += issue_ps
+            entry = table[type(operation)]
 
-            if isinstance(operation, Compute):
-                elapsed += self._issue_ps * max(0, operation.amount - 1)
-                context.complete(operation, _outcome())
-                continue
-            if isinstance(operation, Malloc):
-                address = self.memory.allocate(operation.size)
+            if entry.execute is not None:
+                outcome = entry.execute(operation, self.port, issue_ps)
+                if outcome.retry:
+                    raise KernelProgramError(
+                        "a single-threaded baseline program spun on a WaitValue "
+                        "that can never be satisfied"
+                    )
+                if outcome.ops > 1:
+                    # A vector operation is N instructions; one issue slot
+                    # was already charged above, so add the remaining N-1.
+                    extra = outcome.ops - 1
+                    instructions += extra
+                    elapsed += issue_ps * extra
+                elapsed += outcome.latency_ps
+            elif entry is COMPUTE:
+                elapsed += issue_ps * max(0, operation.amount - 1)
+                outcome = ZERO_OUTCOME
+            elif entry is MALLOC:
+                outcome = OpOutcome(value=self.memory.allocate(operation.size))
                 elapsed += self._malloc_ps
-                context.complete(operation, _outcome(value=address))
-                self.stats.add(f"{self.name}.mallocs")
-                continue
-            if isinstance(operation, Free):
-                context.complete(operation, _outcome())
-                continue
-
-            memory_outcome = execute_memory_operation(operation, self.port,
-                                                      spin_poll_ps=self._issue_ps)
-            if memory_outcome is None:
+                self.stats.add(self._mallocs_stat)
+            elif entry is FREE:
+                outcome = ZERO_OUTCOME
+            else:
                 raise KernelProgramError(
                     f"baseline CPU core cannot execute operation {operation!r}"
                 )
-            if memory_outcome.retry:
-                raise KernelProgramError(
-                    "a single-threaded baseline program spun on a WaitValue that "
-                    "can never be satisfied"
-                )
-            if memory_outcome.ops > 1:
-                # A vector operation is N instructions; one issue slot was
-                # already charged above, so add the remaining N-1.
-                extra = memory_outcome.ops - 1
-                instructions += extra
-                elapsed += self._issue_ps * extra
-            elapsed += memory_outcome.latency_ps
-            context.complete(operation, memory_outcome)
+            context.complete(operation, outcome)
 
-        self.stats.add(f"{self.name}.instructions", instructions)
+        self.stats.add(self._instructions_stat, instructions)
         return BaselineRunResult(time_ps=elapsed, instructions=instructions)
-
-
-def _outcome(value: object = None):
-    from repro.cores.interpreter import OpOutcome
-
-    return OpOutcome(latency_ps=0, value=value)

@@ -29,15 +29,14 @@ from typing import Callable, Iterable, List, Optional, Sequence, Set
 
 from repro.baseline.memory import FlatMemory, PrivateCacheHierarchy
 from repro.config import APUGPUConfig
-from repro.cores.interpreter import ThreadContext, execute_memory_operation
+from repro.cores.interpreter import (COMPUTE, MALLOC, OP_TABLE, ZERO_OUTCOME,
+                                    ThreadContext)
 from repro.cores.isa import (
     AtomicAdd,
     AtomicCAS,
     AtomicDec,
     AtomicInc,
-    Compute,
     Load,
-    Malloc,
     Store,
 )
 from repro.errors import KernelProgramError
@@ -48,6 +47,11 @@ from repro.sim.stats import StatsRegistry
 
 #: Work items per hardware wavefront (AMD wavefronts are 64 wide).
 WAVEFRONT_SIZE = 64
+
+#: The memory operations an OpenCL kernel may issue (no spin-waits; the
+#: vector operations are an xthreads-side batching device).
+_KERNEL_MEMORY_OPS = frozenset(OP_TABLE[op_class] for op_class in (
+    Load, Store, AtomicAdd, AtomicCAS, AtomicInc, AtomicDec))
 
 
 @dataclass(frozen=True)
@@ -216,6 +220,7 @@ class RadeonGPUModel:
         else:
             port = _UncachedPort(self.memory)
 
+        table = OP_TABLE
         compute_operations = 0
         memory_operations = 0
         for work_item in wavefront:
@@ -224,28 +229,24 @@ class RadeonGPUModel:
                 operation = context.next_operation()
                 if operation is None:
                     break
-                if isinstance(operation, Compute):
+                entry = table[type(operation)]
+                if entry in _KERNEL_MEMORY_OPS:
+                    compute_operations += 1
+                    memory_operations += 1
+                    context.complete(operation,
+                                     entry.execute(operation, port, 0))
+                elif entry is COMPUTE:
                     compute_operations += max(1, operation.amount)
-                    context.complete(operation, _zero_outcome())
-                    continue
-                if isinstance(operation, Malloc):
+                    context.complete(operation, ZERO_OUTCOME)
+                elif entry is MALLOC:
                     raise KernelProgramError(
                         "OpenCL kernels cannot dynamically allocate memory on the "
                         "APU baseline (no mttop_malloc equivalent)"
                     )
-                if not isinstance(operation, (Load, Store, AtomicAdd, AtomicCAS,
-                                              AtomicInc, AtomicDec)):
+                else:
                     raise KernelProgramError(
                         f"GPU model cannot execute operation {operation!r}"
                     )
-                outcome = execute_memory_operation(operation, port, spin_poll_ps=0)
-                if outcome is None or outcome.retry:
-                    raise KernelProgramError(
-                        f"GPU model cannot execute operation {operation!r}"
-                    )
-                compute_operations += 1
-                memory_operations += 1
-                context.complete(operation, outcome)
 
         if isinstance(port, _UncachedPort):
             read_lines, written_lines = port.drain()
@@ -280,9 +281,3 @@ class RadeonGPUModel:
     def reset_cache(self) -> None:
         """Drop the GPU cache contents (between independent kernel launches)."""
         self._cache.l1.flush_all()
-
-
-def _zero_outcome():
-    from repro.cores.interpreter import OpOutcome
-
-    return OpOutcome(latency_ps=0)

@@ -12,13 +12,14 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.cores.interpreter import (
+    COMPUTE,
+    OP_TABLE,
+    ZERO_OUTCOME,
     OpOutcome,
     RuntimeHandler,
     ThreadContext,
     ThreadProgram,
-    execute_memory_operation,
 )
-from repro.cores.isa import Compute
 from repro.errors import KernelProgramError
 from repro.sim.clock import ClockDomain
 from repro.sim.engine import Agent, StepOutcome
@@ -45,6 +46,9 @@ class CPUCore(Agent):
         self.spin_poll_ps = spin_poll_ps
         self._issue_ps = clock.cycles_to_ps(cycles_per_instruction)
         self._instructions_stat = f"{name}.instructions"
+        self._interrupts_stat = f"{name}.interrupts"
+        self._interrupt_ps_stat = f"{name}.interrupt_ps"
+        self._programs_completed_stat = f"{name}.programs_completed"
         self._queue: List[Tuple[ThreadContext, Optional[CompletionCallback]]] = []
         self._current: Optional[Tuple[ThreadContext, Optional[CompletionCallback]]] = None
         self._pending_interrupt_ps = 0
@@ -80,7 +84,7 @@ class CPUCore(Agent):
         being diverted to run a handler on behalf of another device.
         """
         self._pending_interrupt_ps += latency_ps
-        self.stats.add(f"{self.name}.interrupts")
+        self.stats.add(self._interrupts_stat)
 
     # ------------------------------------------------------------------ #
     # Agent protocol
@@ -88,7 +92,7 @@ class CPUCore(Agent):
     def step(self) -> StepOutcome:
         if self._pending_interrupt_ps:
             self.advance(self._pending_interrupt_ps)
-            self.stats.add(f"{self.name}.interrupt_ps", self._pending_interrupt_ps)
+            self.stats.add(self._interrupt_ps_stat, self._pending_interrupt_ps)
             self._pending_interrupt_ps = 0
             return StepOutcome.RAN
 
@@ -101,42 +105,41 @@ class CPUCore(Agent):
         operation = context.next_operation()
         if operation is None:
             self._current = None
-            self.stats.add(f"{self.name}.programs_completed")
+            self.stats.add(self._programs_completed_stat)
             if on_complete is not None:
                 on_complete(self, context)
             if not self._queue:
                 return self.finish()
             return StepOutcome.RAN
 
-        outcome = self._execute(context, operation)
+        latency, outcome = self._execute(context, operation)
         context.complete(operation, outcome)
-        self.advance(outcome.latency_ps)
+        self.advance(latency)
         self.stats.add(self._instructions_stat, outcome.ops)
         return StepOutcome.RAN
 
     # ------------------------------------------------------------------ #
     # Operation execution
     # ------------------------------------------------------------------ #
-    def _execute(self, context: ThreadContext, operation) -> OpOutcome:
+    def _execute(self, context: ThreadContext,
+                 operation) -> Tuple[int, OpOutcome]:
+        """Run ``operation``; returns its latency, issue cost included."""
         # current_time_ps is part of the MemoryPort protocol (defaulted by
         # every implementation), so no hasattr probe in the hot loop.
         self.memory_port.current_time_ps = self.local_time_ps
-        if isinstance(operation, Compute):
-            latency = self._issue_ps * max(1, operation.amount)
-            return OpOutcome(latency_ps=latency)
-
-        memory_outcome = execute_memory_operation(operation, self.memory_port,
-                                                  self.spin_poll_ps)
-        if memory_outcome is not None:
+        entry = OP_TABLE[type(operation)]
+        if entry.execute is not None:
+            outcome = entry.execute(operation, self.memory_port,
+                                    self.spin_poll_ps)
             # Vector operations are charged one issue slot per element,
             # exactly like the equivalent back-to-back scalar sequence.
-            memory_outcome.latency_ps += self._issue_ps * memory_outcome.ops
-            return memory_outcome
+            return outcome.latency_ps + self._issue_ps * outcome.ops, outcome
+        if entry is COMPUTE:
+            return self._issue_ps * max(1, operation.amount), ZERO_OUTCOME
 
         if self.runtime_handler is None:
             raise KernelProgramError(
                 f"{self.name} has no runtime handler for operation {operation!r}"
             )
-        runtime_outcome = self.runtime_handler(self, context, operation)
-        runtime_outcome.latency_ps += self._issue_ps
-        return runtime_outcome
+        outcome = self.runtime_handler(self, context, operation)
+        return outcome.latency_ps + self._issue_ps, outcome

@@ -18,36 +18,44 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.cores.interpreter import (
+    COMPUTE,
+    OP_TABLE,
+    ZERO_OUTCOME,
+    OpEntry,
     OpOutcome,
     RuntimeHandler,
     ThreadContext,
-    batch_outcome,
-    batch_request,
-    execute_memory_operation,
 )
-from repro.cores.isa import Compute, Operation
+from repro.cores.isa import Operation
 from repro.errors import KernelProgramError, MIFDError
+from repro.mem.batch import BatchOp
 from repro.sim.clock import ClockDomain
 from repro.sim.engine import Agent, StepOutcome
 from repro.sim.stats import StatsRegistry
 
 
-@dataclass
+@dataclass(eq=False)
 class Warp:
     """A SIMD-width chunk of threads executing in lockstep on one core."""
 
     warp_id: int
     lanes: List[ThreadContext] = field(default_factory=list)
+    #: Lanes that still have work, in lane order.  A lane only finishes
+    #: inside a step of its own warp, which calls :meth:`refresh` after it.
+    active_lanes: List[ThreadContext] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.active_lanes = [lane for lane in self.lanes if not lane.finished]
+
+    def refresh(self) -> None:
+        """Drop the lanes whose programs completed during the last step."""
+        self.active_lanes = [lane for lane in self.active_lanes
+                             if not lane.finished]
 
     @property
     def finished(self) -> bool:
         """True when every lane's program has completed."""
-        return all(lane.finished for lane in self.lanes)
-
-    @property
-    def active_lanes(self) -> List[ThreadContext]:
-        """Lanes that still have work."""
-        return [lane for lane in self.lanes if not lane.finished]
+        return not self.active_lanes
 
 
 class MTTOPCore(Agent):
@@ -67,6 +75,10 @@ class MTTOPCore(Agent):
         self.stats = stats if stats is not None else StatsRegistry()
         self.spin_poll_ps = spin_poll_ps
         self._issue_ps = clock.period_ps
+        self._lane_instructions_stat = f"{name}.lane_instructions"
+        self._warp_instructions_stat = f"{name}.warp_instructions"
+        self._warps_assigned_stat = f"{name}.warps_assigned"
+        self._warps_retired_stat = f"{name}.warps_retired"
         self._warps: List[Warp] = []
         self._next_warp_index = 0
         self._next_warp_id = 0
@@ -107,7 +119,7 @@ class MTTOPCore(Agent):
         self._next_warp_id += 1
         self._warps.append(warp)
         self._contexts_in_use += len(lanes)
-        self.stats.add(f"{self.name}.warps_assigned")
+        self.stats.add(self._warps_assigned_stat)
         self.finished = False
         self.wake(at_time_ps)
         return warp
@@ -128,17 +140,17 @@ class MTTOPCore(Agent):
         for offset in range(count):
             index = (self._next_warp_index + offset) % count
             warp = self._warps[index]
-            if not warp.finished:
+            if warp.active_lanes:
                 self._next_warp_index = (index + 1) % count
                 return warp
         return None
 
     def _retire_finished_warps(self) -> None:
-        finished = [warp for warp in self._warps if warp.finished]
+        finished = [warp for warp in self._warps if not warp.active_lanes]
         for warp in finished:
             self._contexts_in_use -= len(warp.lanes)
             self._warps.remove(warp)
-            self.stats.add(f"{self.name}.warps_retired")
+            self.stats.add(self._warps_retired_stat)
         if self._next_warp_index >= max(1, len(self._warps)):
             self._next_warp_index = 0
 
@@ -150,109 +162,109 @@ class MTTOPCore(Agent):
                 return self.finish()
             return self.block()
 
-        if getattr(self.memory_port, "batch_enabled", False):
-            worst_latency, warp_issues = self._run_lanes_batched(warp)
-        else:
-            worst_latency = 0
-            warp_issues = 1
-            for lane in warp.active_lanes:
-                operation = lane.next_operation()
-                if operation is None:
-                    continue
-                outcome = self._execute(lane, operation)
-                lane.complete(operation, outcome)
-                worst_latency = max(worst_latency, outcome.latency_ps)
-                warp_issues = max(warp_issues, outcome.ops)
-                self.stats.add(f"{self.name}.lane_instructions", outcome.ops)
+        worst_latency, warp_issues = self._run_lanes(warp)
+        warp.refresh()
 
         self.advance(self._issue_ps + worst_latency)
         # A vector op stands for N back-to-back warp issues.
-        self.stats.add(f"{self.name}.warp_instructions", warp_issues)
+        self.stats.add(self._warp_instructions_stat, warp_issues)
         self._retire_finished_warps()
         return StepOutcome.RAN
 
-    def _run_lanes_batched(self, warp: Warp) -> int:
-        """One warp step with the lanes' memory operations batched.
+    def _run_lanes(self, warp: Warp) -> Tuple[int, int]:
+        """One warp step: every active lane executes one operation.
 
-        Lanes execute in lane order exactly as in the scalar loop, but
-        consecutive plain memory operations are collected and handed to
-        the port as one batch.  Any operation that may itself touch the
-        memory port (runtime services) or is not batchable flushes the
-        pending batch first, so the port observes the identical global
-        operation order — which is what makes results bit-for-bit equal.
+        Lanes execute in lane order.  When the port has ``batch_enabled``
+        (the ``batch_access`` config knob), consecutive plain memory
+        operations are collected and handed to the port as one batch.  Any
+        operation that may itself touch the memory port (runtime services)
+        or is not batchable flushes the pending batch first, so the port
+        observes the identical global operation order — which is what makes
+        results bit-for-bit equal to issuing the lanes one at a time.
+        Returns the slowest lane's latency and the step's warp issues.
         """
         self.memory_port.current_time_ps = self.local_time_ps
+        batched = getattr(self.memory_port, "batch_enabled", False)
+        table = OP_TABLE
         worst = 0
         lane_ops = 0
         warp_issues = 1
-        pending: List[Tuple[ThreadContext, Operation, tuple]] = []
+        pending: List[Tuple[ThreadContext, Operation, OpEntry]] = []
+        requests: List[BatchOp] = []
         for lane in warp.active_lanes:
             operation = lane.next_operation()
             if operation is None:
                 continue
             lane_ops += 1
-            request = batch_request(operation)
-            if request is not None:
-                pending.append((lane, operation, request))
+            entry = table[type(operation)]
+            if batched and entry.encode is not None:
+                pending.append((lane, operation, entry))
+                requests.append(entry.encode(operation))
                 continue
-            worst = max(worst, self._flush_batch(pending))
-            outcome = self._execute(lane, operation)
+            if pending:
+                worst = max(worst, self._flush_batch(pending, requests))
+                pending, requests = [], []
+            latency, outcome = self._execute(lane, operation)
             lane.complete(operation, outcome)
             lane_ops += outcome.ops - 1
             warp_issues = max(warp_issues, outcome.ops)
-            worst = max(worst, outcome.latency_ps)
-        worst = max(worst, self._flush_batch(pending))
+            worst = max(worst, latency)
+        if pending:
+            worst = max(worst, self._flush_batch(pending, requests))
         if lane_ops:
-            self.stats.add(f"{self.name}.lane_instructions", lane_ops)
+            self.stats.add(self._lane_instructions_stat, lane_ops)
         return worst, warp_issues
 
-    def _flush_batch(self, pending: List[Tuple[ThreadContext, Operation, tuple]]) -> int:
-        """Execute and complete the pending lane memory operations."""
-        if not pending:
-            return 0
+    def _flush_batch(self, pending: List[Tuple[ThreadContext, Operation, OpEntry]],
+                     requests: List[BatchOp]) -> int:
+        """Execute and complete the pending lane memory operations.
+
+        ``requests`` holds each pending operation's batch encoding.
+        Returns the slowest of their latencies.
+        """
         if len(pending) == 1:
-            lane, operation, _request = pending[0]
-            outcome = execute_memory_operation(operation, self.memory_port,
-                                               self.spin_poll_ps)
-            lane.complete(operation, outcome)
-            pending.clear()
-            return outcome.latency_ps
-        values, latencies = self.memory_port.run_batch(
-            [request for _, _, request in pending])
-        worst = 0
-        for index, (lane, operation, _request) in enumerate(pending):
-            outcome = batch_outcome(operation, values[index], latencies[index],
+            lane, operation, entry = pending[0]
+            outcome = entry.execute(operation, self.memory_port,
                                     self.spin_poll_ps)
             lane.complete(operation, outcome)
-            worst = max(worst, outcome.latency_ps)
-        pending.clear()
+            return outcome.latency_ps
+        values, latencies = self.memory_port.run_batch(requests)
+        spin_poll_ps = self.spin_poll_ps
+        worst = 0
+        for (lane, operation, entry), value, latency in zip(pending, values,
+                                                            latencies):
+            outcome = entry.finish(operation, value, latency, spin_poll_ps)
+            lane.complete(operation, outcome)
+            if outcome.latency_ps > worst:
+                worst = outcome.latency_ps
         return worst
 
     # ------------------------------------------------------------------ #
     # Operation execution
     # ------------------------------------------------------------------ #
-    def _execute(self, lane: ThreadContext, operation) -> OpOutcome:
+    def _execute(self, lane: ThreadContext,
+                 operation) -> Tuple[int, OpOutcome]:
+        """Run ``operation``; returns its latency beyond the issue cycle."""
         # current_time_ps is part of the MemoryPort protocol (defaulted by
         # every implementation), so no hasattr probe in the hot loop.
         self.memory_port.current_time_ps = self.local_time_ps
-        if isinstance(operation, Compute):
+        entry = OP_TABLE[type(operation)]
+        if entry.execute is not None:
+            outcome = entry.execute(operation, self.memory_port,
+                                    self.spin_poll_ps)
+            # A vector op is N back-to-back lane operations: the step
+            # charges one issue cycle, so add the other N - 1 here (same
+            # accounting as Compute(n)).
+            return (outcome.latency_ps + self._issue_ps * (outcome.ops - 1),
+                    outcome)
+        if entry is COMPUTE:
             # One operation per lane per cycle; lanes run in parallel, so a
             # Compute(n) costs n extra cycles for this lane.
-            return OpOutcome(latency_ps=self._issue_ps * max(0, operation.amount - 1))
-
-        memory_outcome = execute_memory_operation(operation, self.memory_port,
-                                                  self.spin_poll_ps)
-        if memory_outcome is not None:
-            if memory_outcome.ops > 1:
-                # A vector op is N back-to-back lane operations: the step
-                # charges one issue cycle, so add the other N - 1 here
-                # (same accounting as Compute(n)).
-                memory_outcome.latency_ps += \
-                    self._issue_ps * (memory_outcome.ops - 1)
-            return memory_outcome
+            return self._issue_ps * max(0, operation.amount - 1), ZERO_OUTCOME
 
         if self.runtime_handler is None:
             raise KernelProgramError(
                 f"{self.name} has no runtime handler for operation {operation!r}"
             )
-        return self.runtime_handler(self, lane, operation)
+        outcome = self.runtime_handler(self, lane, operation)
+        return outcome.latency_ps, outcome

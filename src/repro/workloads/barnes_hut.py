@@ -27,6 +27,7 @@ from repro.baseline.apu import AMDAPU
 from repro.config import APUSystemConfig, CCSVMSystemConfig, ccsvm_system
 from repro.core.chip import CCSVMChip
 from repro.core.xthreads.api import CreateMThread, WaitCond, mttop_signal
+from repro.cores.interpreter import OP_TABLE, ZERO_OUTCOME, OpOutcome, ThreadContext
 from repro.cores.isa import Compute, Load, Malloc, Store, word_addr
 from repro.workloads.base import WorkloadResult
 from repro.workloads.generators import Body, nbody_bodies
@@ -274,6 +275,9 @@ def update_phase(arrays: Dict[str, int], count: int) -> object:
 # --------------------------------------------------------------------------- #
 # Functional reference executor
 # --------------------------------------------------------------------------- #
+_LOAD, _STORE = OP_TABLE[Load], OP_TABLE[Store]
+
+
 class _FunctionalMemory:
     """Zero-cost executor used to produce the golden final positions."""
 
@@ -287,22 +291,20 @@ class _FunctionalMemory:
         return address
 
     def run(self, program) -> None:
-        from repro.cores.interpreter import ThreadContext, OpOutcome
-        from repro.cores.isa import Load as _Load, Store as _Store
-
         context = ThreadContext(tid=0, program=program)
+        words = self.words
         while True:
             operation = context.next_operation()
             if operation is None:
                 return
-            if isinstance(operation, _Load):
-                value = self.words.get(operation.vaddr & ~7, 0)
-                context.complete(operation, OpOutcome(value=value))
-            elif isinstance(operation, _Store):
-                self.words[operation.vaddr & ~7] = operation.value
-                context.complete(operation, OpOutcome())
-            else:
-                context.complete(operation, OpOutcome())
+            entry = OP_TABLE[type(operation)]
+            if entry is _LOAD:
+                context.complete(operation, OpOutcome(
+                    value=words.get(operation.vaddr & ~7, 0)))
+                continue
+            if entry is _STORE:
+                words[operation.vaddr & ~7] = operation.value
+            context.complete(operation, ZERO_OUTCOME)
 
     def read_array(self, base: int, count: int) -> List[int]:
         return [self.words.get((base + 8 * i) & ~7, 0) for i in range(count)]
