@@ -695,16 +695,18 @@ class JobSpec:
         names by import, exactly like distributed sweeps do.  A point
         whose kwargs cannot be encoded raises here, at submission time.
         """
+        return cls(name=name, submitter=submitter, priority=priority,
+                   points=[cls.encode_point(point) for point in points],
+                   meta=dict(meta or {}))
+
+    @staticmethod
+    def encode_point(point: SweepPoint) -> Dict[str, object]:
+        """One :attr:`points` entry; raises if ``point`` cannot be pickled."""
         from repro.harness.wire import encode_point
 
-        encoded = []
-        for point in points:
-            by_ref = replace(point, func=point_func_ref(point))
-            encoded.append({"spec": point.spec, "point_id": point.point_id,
-                            "group": point.group,
-                            "point": encode_point(by_ref)})
-        return cls(name=name, submitter=submitter, priority=priority,
-                   points=encoded, meta=dict(meta or {}))
+        by_ref = replace(point, func=point_func_ref(point))
+        return {"spec": point.spec, "point_id": point.point_id,
+                "group": point.group, "point": encode_point(by_ref)}
 
     def to_json(self) -> Dict[str, object]:
         return {"name": self.name, "submitter": self.submitter,

@@ -14,17 +14,16 @@ backends and worker counts.  Four implementations ship:
 - :class:`ProcessPoolBackend` — a ``multiprocessing`` pool with
   as-completed dispatch (one task per point, no ``map`` chunking), so a
   single slow point no longer straggles the whole sweep behind it.
-- :class:`DistributedBackend` — a TCP coordinator that streams points to
-  workers started with ``repro worker --connect HOST:PORT`` (possibly on
-  other hosts).  Each worker advertises a *slot* count in its ``hello``
-  frame and the coordinator pipelines up to that many points per
-  connection, matching the (possibly out-of-order) replies back by
-  ``task_id``.  Points lost to a dying worker — all of its in-flight
-  tasks, not just one — are retried on the survivors; results are still
-  merged in declaration order.
 - :class:`~repro.service.client.ServiceBackend` (``--backend service``) —
   submits the points as one job to an always-on ``repro serve`` fleet and
   streams the per-point results back (see :mod:`repro.service`).
+- :class:`DistributedBackend` — the same, against a private sweep service
+  it starts in-process on ``--bind``: workers started with ``repro worker
+  --connect HOST:PORT`` (possibly on other hosts) join it, and points lost
+  to a dying worker are retried on the survivors.  There is one fleet
+  coordinator, :class:`~repro.service.server.SweepService`; this backend
+  only adds the wait for ``min_workers`` and fails the run when its last
+  worker leaves.
 
 A point whose *function* raises does not tear the sweep down from inside a
 worker: every backend returns a :class:`PointFailure` in that point's slot
@@ -37,25 +36,20 @@ side (in the runner), so remote workers never touch ``.repro-cache/``.
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
 import multiprocessing
 import os
 import queue
-import socket
-import sys
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.harness.spec import HarnessError, PointResult, SweepPoint, execute_point
-from repro.harness.wire import (
-    decode_result,
-    encode_point,
-    hello_slots,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
+
+if TYPE_CHECKING:
+    from repro.service import ServiceBackend, ServiceThread, SweepService
+    from repro.service.server import _WorkerLink
 
 #: Environment variable naming the CLI's default backend.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -91,9 +85,9 @@ class WorkerRunStats:
     """Coordinator-side throughput record of one worker connection's run.
 
     ``busy_s`` sums the dispatch-to-result duration of every point the
-    connection completed (a multi-slot worker can accumulate more busy
-    task-seconds than wall-seconds); ``wall_s`` is how long the connection
-    served the run.  Exposed per run as
+    connection completed during the run (a multi-slot worker can
+    accumulate more busy task-seconds than wall-seconds); ``wall_s`` is
+    how long the connection served the run.  Exposed per run as
     :attr:`DistributedBackend.last_run_worker_stats` and printed by the
     CLI under ``--stats``.
     """
@@ -201,7 +195,8 @@ class ExecutionBackend:
         self.close()
 
 
-def _failure(point: SweepPoint, error: BaseException) -> PointFailure:
+def point_failure(point: SweepPoint, error: BaseException) -> PointFailure:
+    """The :class:`PointFailure` reporting ``error`` for ``point``."""
     return PointFailure(spec=point.spec, point_id=point.point_id,
                         error=f"{type(error).__name__}: {error}")
 
@@ -219,7 +214,7 @@ def _run_serially(backend: ExecutionBackend, points: List[SweepPoint]
         try:
             yield index, execute_point(point)
         except Exception as error:  # noqa: BLE001 - reported per point
-            yield index, _failure(point, error)
+            yield index, point_failure(point, error)
 
 
 class SerialBackend(ExecutionBackend):
@@ -289,7 +284,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     continue
                 received += 1
                 if isinstance(payload, BaseException):
-                    yield index, _failure(points[index], payload)
+                    yield index, point_failure(points[index], payload)
                 else:
                     yield index, payload  # type: ignore[misc]
 
@@ -297,381 +292,59 @@ class ProcessPoolBackend(ExecutionBackend):
 # --------------------------------------------------------------------------- #
 # Distributed backend
 # --------------------------------------------------------------------------- #
-def enable_keepalive(conn: socket.socket) -> None:
-    """Make a dead worker *host* surface as a connection error.
-
-    A worker process that crashes sends a FIN/RST and is requeued
-    immediately; a host that vanishes (power loss, network partition)
-    sends nothing, so without keepalive the serve thread would block in
-    ``recv`` forever.  The parameters below detect that within ~a minute
-    without bounding how long a legitimate point may compute.
-    """
-    conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
-    for option, value in (("TCP_KEEPIDLE", 30), ("TCP_KEEPINTVL", 10),
-                          ("TCP_KEEPCNT", 3)):
-        if hasattr(socket, option):  # platform-dependent
-            conn.setsockopt(socket.IPPROTO_TCP, getattr(socket, option), value)
+async def _await_workers(service: SweepService, count: int
+                         ) -> Dict[_WorkerLink, Tuple[int, float]]:
+    """Wait for ``count`` workers; returns every worker's counters then."""
+    while len(service.workers) < count:
+        await asyncio.sleep(0.01)
+    return {link: (link.points_done, link.busy_s) for link in service.workers}
 
 
-def _worker_label(conn: socket.socket, hello: "dict") -> str:
-    """A human-readable identity for one worker connection.
-
-    Combines the TCP peer address with the pid the worker's ``hello``
-    advertised, so two workers on the same host are distinguishable in the
-    ``--stats`` per-worker summary.
-    """
-    try:
-        host, port = conn.getpeername()[:2]
-        peer = f"{host}:{port}"
-    except OSError:
-        peer = "worker"
-    pid = hello.get("pid")
-    if isinstance(pid, int) and not isinstance(pid, bool):
-        return f"{peer} pid={pid}"
-    return peer
+async def _fail_when_fleet_empties(service: SweepService) -> None:
+    """Fail the run's points whenever no worker is left to run them
+    (``repro serve`` instead keeps a job waiting for workers to return)."""
+    while True:
+        if not service.workers and service.queue.unfinished():
+            service.fail_unfinished(
+                "all workers disconnected before the point ran")
+        await asyncio.sleep(0.02)
 
 
-class _RunState:
-    """Bookkeeping for one :meth:`DistributedBackend.run` call."""
-
-    def __init__(self, points: List[SweepPoint], max_retries: int) -> None:
-        self.points = points
-        self.max_retries = max_retries
-        self.results: List[Optional[BackendResult]] = [None] * len(points)
-        self.attempts = [0] * len(points)
-        self.tasks: "queue.Queue[Optional[int]]" = queue.Queue()
-        for index in range(len(points)):
-            self.tasks.put(index)
-        # Completion events in completion order, consumed by run_iter.
-        # Each carries the label of the worker that computed the result
-        # (None for coordinator-side failures), which provenance records.
-        self.events: "queue.Queue[Tuple[int, BackendResult, Optional[str]]]" \
-            = queue.Queue()
-        self.lock = threading.Lock()
-        self.outstanding = len(points)
-        self.active_workers = 0
-        self.sessions: List["_WorkerSession"] = []
-        self.done = threading.Event()
-        if not points:
-            self.done.set()
-
-    def register(self, session: "_WorkerSession", admitted: bool) -> bool:
-        """Register a worker session, unless the run has already drained.
-
-        ``admitted`` marks the initial batch :meth:`admit_batch` already
-        counted; a mid-run joiner (``admitted=False``) is admitted here.
-        Admission, the drain check and the session list share one lock, so
-        the sentinel count ``_release`` captures always covers every
-        admitted session, and :meth:`join_sessions` always sees every
-        session that was admitted before the drain.
-        """
-        with self.lock:
-            if not admitted:
-                if self.outstanding == 0:
-                    return False
-                self.active_workers += 1
-            self.sessions.append(session)
-            return True
-
-    def admit_batch(self, count: int) -> None:
-        """Count the run's initial workers before any serve thread starts.
-
-        Admitting the whole batch atomically — instead of one-by-one as
-        each serve thread spawns — closes the race where the first worker
-        dies (requeueing its point and decrementing ``active_workers`` to
-        zero) before its siblings were admitted, which made
-        :meth:`worker_exited` declare the run orphaned and fail every
-        remaining point even though a healthy worker was about to start.
-        """
-        with self.lock:
-            self.active_workers += count
-
-    def join_sessions(self) -> None:
-        with self.lock:
-            sessions = list(self.sessions)
-        for session in sessions:
-            session.join()
-
-    def complete(self, index: int, result: BackendResult,
-                 worker: Optional[str] = None) -> None:
-        with self.lock:
-            if self.results[index] is not None:
-                return
-            self.results[index] = result
-            self.events.put((index, result, worker))
-            self.outstanding -= 1
-            finished = self.outstanding == 0
-            workers = self.active_workers
-        if finished:
-            self._release(workers)
-
-    def cancel_pending(self) -> None:
-        """Abandon every unfinished point, completing it as cancelled.
-
-        In-flight points cannot be recalled from their workers; their
-        eventual ``result`` frames arrive against an already-completed
-        index and are dropped by :meth:`complete`'s idempotence guard,
-        which also returns the connection's credit so the worker parks
-        cleanly for the next run.
-        """
-        with self.lock:
-            unfinished = [index for index, result in enumerate(self.results)
-                          if result is None]
-        for index in unfinished:
-            point = self.points[index]
-            self.complete(index, PointFailure(
-                spec=point.spec, point_id=point.point_id,
-                error="point was cancelled before it completed"))
-
-    def requeue(self, index: int) -> None:
-        """A worker died mid-point: retry elsewhere, or give up on it."""
-        with self.lock:
-            if self.results[index] is not None:
-                return
-            self.attempts[index] += 1
-            exhausted = self.attempts[index] > self.max_retries
-        if exhausted:
-            point = self.points[index]
-            self.complete(index, PointFailure(
-                spec=point.spec, point_id=point.point_id,
-                error=f"worker connection lost {self.attempts[index]} times"))
-        else:
-            self.tasks.put(index)
-
-    def worker_exited(self) -> None:
-        with self.lock:
-            self.active_workers -= 1
-            orphaned = self.active_workers == 0 and self.outstanding > 0
-        if orphaned:
-            # Nobody left to execute the remaining points; fail them so the
-            # coordinator reports the loss instead of hanging forever.  The
-            # last completion sets ``done`` via ``_release``.
-            for index, result in enumerate(self.results):
-                if result is None:
-                    point = self.points[index]
-                    self.complete(index, PointFailure(
-                        spec=point.spec, point_id=point.point_id,
-                        error="all workers disconnected before the point ran"))
-
-    def _release(self, workers: int) -> None:
-        for _ in range(max(workers, 1)):
-            self.tasks.put(None)  # wake idle sender threads so they park
-        self.done.set()
-
-
-class _WorkerSession:
-    """One worker connection serving one run: a sender/receiver thread pair.
-
-    The sender pulls task indices off the shared queue and writes ``point``
-    frames whenever the connection has a free credit; the receiver reads
-    ``result`` frames (in whatever order the worker finishes them), matches
-    them back by ``task_id`` and returns the credit.  Splitting the two
-    directions onto separate threads is what lets a multi-slot worker hold
-    several points in flight on a single TCP connection.
-
-    Exactly one of two finishes happens, guarded by ``_finished``:
-
-    - *park* — the run drained and every in-flight reply arrived; the
-      connection goes back to the backend's idle pool for the next run.
-    - *fail* — either direction hit a connection error; all in-flight
-      tasks are requeued onto the surviving workers and the socket closed.
-    """
-
-    def __init__(self, backend: "DistributedBackend", conn: socket.socket,
-                 slots: int, state: _RunState, label: str = "worker") -> None:
-        self.backend = backend
-        self.conn = conn
-        self.slots = slots
-        self.state = state
-        self.label = label
-        self.cv = threading.Condition()
-        self.credits = slots
-        self.inflight: "set[int]" = set()
-        self.dead = False
-        self.sender_done = False
-        self._finished = False
-        # Throughput bookkeeping (guarded by cv): dispatch timestamps of
-        # in-flight tasks, completed-point count and summed task durations.
-        self._dispatched_at: "dict[int, float]" = {}
-        self._points_done = 0
-        self._busy_s = 0.0
-        self._started_at = time.monotonic()
-        self._sender = threading.Thread(target=self._send_loop,
-                                        name="repro-send", daemon=True)
-        self._receiver = threading.Thread(target=self._recv_loop,
-                                          name="repro-recv", daemon=True)
-
-    def start(self) -> None:
-        self._sender.start()
-        self._receiver.start()
-
-    def join(self) -> None:
-        self._sender.join()
-        self._receiver.join()
-
-    # ------------------------------------------------------------------ #
-    # Sender: tasks -> point frames, gated by credits
-    # ------------------------------------------------------------------ #
-    def _send_loop(self) -> None:
-        state = self.state
-        while True:
-            with self.cv:
-                while self.credits == 0 and not self.dead:
-                    self.cv.wait()
-                if self.dead:
-                    return
-            try:
-                # A short poll rather than a blocking get: a session whose
-                # receiver already failed must not sit here forever (or
-                # steal a task for a dead socket) while the run continues
-                # on the survivors.
-                index = state.tasks.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            if index is None:
-                with self.cv:
-                    self.sender_done = True
-                    self.cv.notify_all()
-                return
-            point = state.points[index]
-            try:
-                frame = {"type": "point", "task_id": index,
-                         "point": encode_point(point)}
-            except Exception as error:  # noqa: BLE001
-                # An unpicklable point is the point's fault, not the
-                # worker's: record the failure so the run still drains.
-                state.complete(index, _failure(point, error))
-                continue
-            with self.cv:
-                if self.dead:
-                    # _fail already requeued the in-flight set; this task
-                    # was never dispatched, so hand it back untouched.
-                    state.tasks.put(index)
-                    return
-                self.credits -= 1
-                self.inflight.add(index)
-                self._dispatched_at[index] = time.monotonic()
-                self.cv.notify_all()
-            try:
-                send_frame(self.conn, frame)
-            except (OSError, ConnectionError):
-                self._fail()
-                return
-
-    # ------------------------------------------------------------------ #
-    # Receiver: result frames -> completions, returning credits
-    # ------------------------------------------------------------------ #
-    def _recv_loop(self) -> None:
-        state = self.state
-        while True:
-            with self.cv:
-                # Only read the socket while a reply is actually owed:
-                # recv on an idle connection would block past the end of
-                # the run and pin a parked worker to a finished sweep.
-                while not self.inflight and not self.sender_done \
-                        and not self.dead:
-                    self.cv.wait()
-                if self.dead:
-                    return
-                if not self.inflight and self.sender_done:
-                    break  # run drained for this worker
-            try:
-                reply = recv_frame(self.conn)
-                if reply is None:
-                    raise ConnectionError("worker closed the connection")
-            except (OSError, ConnectionError, ValueError):
-                self._fail()
-                return
-            if reply.get("type") != "result":
-                continue  # stray frame; the reply we are owed is still due
-            task_id = reply.get("task_id")
-            if not isinstance(task_id, int) or isinstance(task_id, bool):
-                continue  # malformed reply; the owed result is still due
-            with self.cv:
-                known = task_id in self.inflight
-                if known:
-                    self.inflight.discard(task_id)
-                    self.credits += 1
-                    dispatched = self._dispatched_at.pop(task_id, None)
-                    if dispatched is not None:
-                        self._busy_s += time.monotonic() - dispatched
-                    self._points_done += 1
-                    self.cv.notify_all()
-            if not known:
-                continue  # duplicate or stale task_id; drop it
-            point = state.points[task_id]
-            if reply.get("ok"):
-                try:
-                    result: BackendResult = decode_result(
-                        str(reply.get("result", "")))
-                except Exception as error:  # noqa: BLE001
-                    result = _failure(point, error)
-                state.complete(task_id, result, worker=self.label)
-            else:
-                state.complete(task_id, PointFailure(
-                    spec=point.spec, point_id=point.point_id,
-                    error=str(reply.get("error", "unknown worker error"))),
-                    worker=self.label)
-        self._park()
-
-    # ------------------------------------------------------------------ #
-    # Finishes
-    # ------------------------------------------------------------------ #
-    def _fail(self) -> None:
-        """The connection died: requeue every in-flight task, once."""
-        with self.cv:
-            if self._finished:
-                return
-            self._finished = True
-            self.dead = True
-            pending = sorted(self.inflight)
-            self.inflight.clear()
-            self.cv.notify_all()
-        try:
-            self.conn.close()  # unblocks whichever thread is still in I/O
-        except OSError:
-            pass
-        for index in pending:
-            self.state.requeue(index)
-        self.backend._record_worker_stats(self._snapshot_stats())
-        self.state.worker_exited()
-
-    def _park(self) -> None:
-        """The run drained with the connection healthy: re-idle it."""
-        with self.cv:
-            if self._finished:
-                return
-            self._finished = True
-        self.backend._record_worker_stats(self._snapshot_stats())
-        self.backend._park(self.conn, self.slots, self.label)
-        self.state.worker_exited()
-
-    def _snapshot_stats(self) -> WorkerRunStats:
-        with self.cv:
-            return WorkerRunStats(
-                worker=self.label, slots=self.slots,
-                points=self._points_done, busy_s=self._busy_s,
-                wall_s=time.monotonic() - self._started_at)
+def _run_worker_stats(service: SweepService,
+                      baseline: Dict[_WorkerLink, Tuple[int, float]],
+                      started: float) -> List[WorkerRunStats]:
+    """Per-worker work of one run: the counters' growth since ``baseline``,
+    for every worker connected at its start or end (a leaver until it left)."""
+    now = time.monotonic()
+    stats = []
+    for link in dict.fromkeys([*baseline, *service.workers]):
+        points, busy_s = baseline.get(link, (0, 0.0))
+        ended = link.left_at if link.left_at is not None else now
+        stats.append(WorkerRunStats(
+            worker=link.label, slots=link.slots,
+            points=link.points_done - points, busy_s=link.busy_s - busy_s,
+            wall_s=max(ended - max(started, link.joined_at), 0.0)))
+    return stats
 
 
 class DistributedBackend(ExecutionBackend):
-    """TCP coordinator streaming sweep points to remote workers.
+    """Stream sweep points to ``repro worker`` processes over TCP.
 
-    The coordinator listens on ``bind`` (``HOST:PORT``; port ``0`` picks a
-    free port — read it back from :meth:`listen`).  Workers are separate
-    processes, usually on other hosts, started with::
+    :meth:`listen` starts an ephemeral
+    :class:`~repro.service.server.SweepService` on ``bind`` (``HOST:PORT``;
+    port ``0`` picks a free port — read it back from :meth:`listen`) on a
+    :class:`~repro.service.server.ServiceThread`, and each run is one job
+    submitted through a :class:`~repro.service.client.ServiceBackend`.
+    Workers are separate processes, usually on other hosts, started with::
 
         repro worker --connect HOST:PORT --jobs N
 
-    Each worker advertises ``N`` execution slots in its ``hello`` frame;
-    the coordinator pipelines up to that many points per connection
-    (credit-based: a new point is sent only when a result frees a slot)
-    and matches the out-of-order replies back by ``task_id``.  A worker
-    that disconnects has *all* of its in-flight points requeued onto the
-    survivors (up to ``max_retries`` times per point).  Workers stay
-    connected between :meth:`run` calls, so ``repro run all --backend
-    distributed`` reuses the same fleet for every sweep; :meth:`close`
-    sends them ``shutdown``.
+    The service schedules the points (``N`` in flight per worker, requeue
+    of a lost worker's points up to ``max_retries`` times).  This backend
+    waits for ``min_workers`` before the first point and fails every
+    unfinished point when the last worker leaves.  Workers stay connected
+    between runs, so ``repro run all --backend distributed`` reuses one
+    fleet; :meth:`close` sends them ``shutdown``.
 
     Parameters
     ----------
@@ -695,237 +368,81 @@ class DistributedBackend(ExecutionBackend):
         self.min_workers = min_workers
         self.start_timeout = start_timeout
         self.max_retries = max_retries
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._closed = False
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        # Idle pool entries: (conn, slots, label).
-        self._idle: List[Tuple[socket.socket, int, str]] = []
-        self._run_state: Optional[_RunState] = None
         self.address: Optional[Tuple[str, int]] = None
-        self._worker_stats: List[WorkerRunStats] = []
+        self._fleet: Optional[ServiceThread] = None
+        self._client: Optional[ServiceBackend] = None
         #: Per-worker throughput of the most recent :meth:`run`, in
-        #: connection-finish order (see :class:`WorkerRunStats`).
+        #: join order (see :class:`WorkerRunStats`).
         self.last_run_worker_stats: List[WorkerRunStats] = []
-        #: run_iter index -> worker label, for provenance (see SweepRunner)
-        self.last_point_workers: Dict[int, str] = {}
 
-    # ------------------------------------------------------------------ #
-    # Connection management
-    # ------------------------------------------------------------------ #
+    @property
+    def last_point_workers(self) -> Dict[int, str]:
+        """run_iter index -> worker label, for provenance (see SweepRunner)."""
+        return self._client.last_point_workers if self._client else {}
+
     def listen(self) -> Tuple[str, int]:
-        """Bind the coordinator socket and start accepting workers.
+        """Start the service and its loop thread, accepting workers.
 
         Returns the actual ``(host, port)`` — useful with port ``0``.
         Idempotent: subsequent calls return the existing address.
         """
-        if self._listener is not None:
-            assert self.address is not None
-            return self.address
-        host, port = parse_address(self.bind)
-        listener = socket.create_server((host, port))
-        self._listener = listener
-        self.address = (host, listener.getsockname()[1])
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-accept", daemon=True)
-        self._accept_thread.start()
+        if self._fleet is None:
+            # Imported lazily: repro.service depends on this module.
+            from repro.service import ServiceBackend, ServiceThread, SweepService
+
+            fleet = ServiceThread(SweepService(
+                bind=self.bind, max_retries=self.max_retries, quiet=True))
+            self.address = fleet.start()
+            self._fleet = fleet
+            self._client = ServiceBackend(connect=fleet.address)
+        assert self.address is not None
         return self.address
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._closed:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError as error:
-                if not self._closed:
-                    print(f"repro coordinator: accept loop exiting "
-                          f"unexpectedly ({type(error).__name__}: {error})",
-                          file=sys.stderr, flush=True)
-                return  # listener closed by close()
-            if self._closed:
-                # close() is waking this thread (possibly via its loopback
-                # self-connect); drop the connection and let close() reap us.
-                conn.close()
-                return
-            try:
-                # A stalled or non-worker connection must not block the
-                # registration of real workers behind it.
-                conn.settimeout(10.0)
-                hello = recv_frame(conn)
-                conn.settimeout(None)
-                enable_keepalive(conn)
-            except (OSError, ConnectionError, ValueError) as error:
-                print(f"repro coordinator: rejecting connection "
-                      f"({type(error).__name__}: {error})",
-                      file=sys.stderr, flush=True)
-                conn.close()
-                continue
-            if not hello or hello.get("type") != "hello":
-                print(f"repro coordinator: rejecting connection "
-                      f"(first frame was not a hello: {hello!r})",
-                      file=sys.stderr, flush=True)
-                conn.close()
-                continue
-            slots = hello_slots(hello)
-            label = _worker_label(conn, hello)
-            with self._ready:
-                if self._closed:
-                    # close() ran while this hello was being read; don't
-                    # strand the worker on a backend that will never serve.
-                    conn.close()
-                    return
-                state = self._run_state
-                if state is None:
-                    self._idle.append((conn, slots, label))
-                    self._ready.notify_all()
-            if state is not None:
-                # A worker joining mid-run (a late start, or a replacement
-                # for one that died) is put to work immediately.
-                self._start_session(conn, slots, state, admitted=False,
-                                    label=label)
-
-    def _wait_for_workers(self) -> List[Tuple[socket.socket, int, str]]:
-        with self._ready:
-            if not self._ready.wait_for(
-                    lambda: len(self._idle) >= self.min_workers,
-                    timeout=self.start_timeout):
-                raise HarnessError(
-                    f"distributed backend: only {len(self._idle)} of "
-                    f"{self.min_workers} workers connected to "
-                    f"{self.address[0]}:{self.address[1]} within "
-                    f"{self.start_timeout:.0f}s — start them with "
-                    f"'repro worker --connect HOST:PORT'")
-            workers, self._idle = self._idle, []
-            return workers
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     def run_iter(self, points: List[SweepPoint]
                  ) -> Iterator[Tuple[int, BackendResult]]:
-        if not points:
+        if not points or self.cancelled:
             return
         self.listen()
-        workers = self._wait_for_workers()
-        state = _RunState(points, self.max_retries)
-        with self._ready:
-            # From here on, the accept loop routes new connections straight
-            # into this run; also claim any that slipped into the idle pool
-            # between the wait above and this point.
-            self._run_state = state
-            workers += self._idle
-            self._idle = []
-            self._worker_stats = []
-        # Admit the whole initial batch before any session thread runs, so
-        # one worker dying instantly cannot orphan the run while the rest
-        # still await admission (see _RunState.admit_batch).
-        state.admit_batch(len(workers))
-        for conn, slots, label in workers:
-            self._start_session(conn, slots, state, admitted=True, label=label)
-        received = 0
-        cancelled = False
-        self.last_point_workers = {}
+        fleet, client = self._fleet, self._client
+        assert fleet is not None and client is not None
+        service = fleet.service
+        waiting = fleet.submit(_await_workers(service, self.min_workers))
         try:
-            while received < len(points):
-                if self.cancelled:
-                    # Stop dispatching and fail the remainder as cancelled;
-                    # sessions drain on their own (late results for
-                    # in-flight points are dropped, connections re-park for
-                    # the next run) — deliberately not joined here, so
-                    # cancel() does not block on a worker mid-computation.
-                    cancelled = True
-                    state.cancel_pending()
-                    return
-                try:
-                    index, result, worker = state.events.get(timeout=0.1)
-                except queue.Empty:
-                    continue
-                received += 1
-                if worker is not None:
-                    self.last_point_workers[index] = worker
-                yield index, result
+            baseline = waiting.result(timeout=self.start_timeout)
+        except concurrent.futures.TimeoutError:
+            waiting.cancel()
+            connected = fleet.call(lambda: len(service.workers))
+            raise HarnessError(
+                f"distributed backend: only {connected} of "
+                f"{self.min_workers} workers connected to {fleet.address} "
+                f"within {self.start_timeout:.0f}s — start them with "
+                f"'repro worker --connect HOST:PORT'") from None
+        started = time.monotonic()
+        guard = fleet.submit(_fail_when_fleet_empties(service))
+        try:
+            yield from client.run_iter(points)
         finally:
-            with self._ready:
-                self._run_state = None
-            if not cancelled and received >= len(points):
-                state.join_sessions()
-            with self._ready:
-                self.last_run_worker_stats = list(self._worker_stats)
+            guard.cancel()
+            if self._fleet is fleet:  # not closed while the run was open
+                self.last_run_worker_stats = fleet.call(
+                    _run_worker_stats, service, baseline, started)
+                fleet.call(service.forget_finished)
 
-    def _start_session(self, conn: socket.socket, slots: int,
-                       state: _RunState, admitted: bool,
-                       label: str = "worker") -> Optional[_WorkerSession]:
-        """Serve ``conn`` within the run, or re-idle it if the run drained."""
-        session = _WorkerSession(self, conn, slots, state, label=label)
-        if not state.register(session, admitted=admitted):
-            self._park(conn, slots, label)
-            return None
-        session.start()
-        return session
+    def cancel(self) -> None:
+        super().cancel()
+        if self._client is not None:
+            self._client.cancel()
 
-    def _record_worker_stats(self, stats: WorkerRunStats) -> None:
-        with self._ready:
-            self._worker_stats.append(stats)
-
-    def _park(self, conn: socket.socket, slots: int,
-              label: str = "worker") -> None:
-        """Return a healthy connection to the idle pool for the next run."""
-        with self._ready:
-            closed = self._closed
-            if not closed:
-                self._idle.append((conn, slots, label))
-                self._ready.notify_all()
-        if closed:
-            # close() already drained the idle pool; shut this worker down
-            # directly rather than leaking it.
-            try:
-                send_frame(conn, {"type": "shutdown"})
-            except OSError:
-                pass
-            conn.close()
+    def reset(self) -> None:
+        super().reset()
+        if self._client is not None:
+            self._client.reset()
 
     def close(self) -> None:
-        """Shut down connected workers and stop listening.
-
-        The accept thread is reaped *before* the listener's file
-        descriptor is released: ``close()`` on a listening socket does not
-        wake a thread blocked in ``accept()`` on it, so without the
-        ``shutdown()``+``join`` below the thread would stay parked on the
-        stale descriptor number — and once the OS reuses that number for a
-        later backend's listener, the zombie thread would steal the new
-        backend's worker connections (consuming their ``hello`` and
-        parking them on this closed backend, where they are never served).
-        """
-        with self._ready:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for conn, _slots, _label in idle:
-            try:
-                send_frame(conn, {"type": "shutdown"})
-            except OSError:
-                pass
-            conn.close()
-        if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
-            except OSError:
-                pass  # BSD/macOS refuse shutdown() on a listening socket
-            if self.address is not None:
-                # Portable wake-up for platforms where the shutdown() above
-                # did not interrupt a blocked accept(): a loopback
-                # self-connect makes accept() return, and the loop exits on
-                # the _closed flag.
-                try:
-                    socket.create_connection(self.address, timeout=1.0).close()
-                except OSError:
-                    pass
-            if self._accept_thread is not None and \
-                    self._accept_thread is not threading.current_thread():
-                self._accept_thread.join(timeout=5.0)
-            self._listener.close()
-            self._listener = None
-            self._accept_thread = None
+        """Shut the workers down and stop listening; frees the port."""
+        fleet, self._fleet = self._fleet, None
+        if fleet is not None:
+            fleet.stop()
 
 
 # --------------------------------------------------------------------------- #

@@ -867,7 +867,8 @@ def _status(args: argparse.Namespace) -> int:
     for entry in (workers if isinstance(workers, list) else []):
         print(f"worker {entry.get('label')}: {entry.get('slots')} slot(s), "
               f"{entry.get('inflight')} in flight, "
-              f"{entry.get('points_done')} done")
+              f"{entry.get('points_done')} done, "
+              f"{entry.get('busy_s', 0.0):.1f}s busy")
     return 0
 
 

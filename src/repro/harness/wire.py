@@ -1,4 +1,4 @@
-"""Wire protocol shared by the distributed backend and ``repro worker``.
+"""Wire protocol spoken between the sweep service, its workers and clients.
 
 Messages are *length-prefixed JSON frames*: a 4-byte big-endian payload
 length followed by a UTF-8 JSON object.  Framing keeps the protocol
@@ -6,48 +6,41 @@ stream-safe over TCP; JSON keeps it debuggable (``tcpdump`` shows readable
 frames).  Sweep points themselves carry arbitrary picklable kwargs
 (seeds, parameter dicts, ...), so a point travels inside the JSON frame as
 a base64-encoded pickle — the same picklability contract the
-``multiprocessing`` backend already imposes.  Since the ``repro.api``
-port, every built-in sweep's points reference their function by
-``"module:qualname"`` string and name systems/workloads by registry key,
-so the pickled payload is plain data: no function objects (and, unless a
-test passes an explicit config, no configuration dataclasses) cross the
-wire, and workers resolve the names by import on their side.
+``multiprocessing`` backend already imposes.  Built-in sweep points name
+their function as ``"module:qualname"`` and systems/workloads by registry
+key, so the payload is plain data that workers resolve by import.
 
-Frame types:
+There is one protocol version, :data:`PROTOCOL_VERSION`; every peer ships
+from this tree, so there is no compatibility matrix.  A ``hello`` or
+``client_hello`` advertising any other version — or a worker ``hello``
+without a positive ``slots`` count — is answered with an ``error`` frame
+and the connection is closed.
 
-========== =============================================================
-``hello``   worker -> coordinator greeting (``pid``, ``proto``, ``slots``)
-``point``   coordinator -> worker: one sweep point (``task_id``, ``point``)
-``result``  worker -> coordinator: ``task_id`` + ``ok`` +
-            ``result``/``error``
-``shutdown`` coordinator -> worker: drain and exit
-========== =============================================================
+Worker frames:
 
-Protocol version 2 adds *credit-based pipelining*: the ``hello`` frame
-advertises ``slots`` — how many points the worker can execute
-concurrently — and the coordinator keeps at most that many ``point``
-frames outstanding per connection.  ``result`` frames may arrive in any
-order; the echoed ``task_id`` matches them back to their points.  A
-version-1 peer is still understood: a ``hello`` without ``slots`` means
-one slot, which degrades exactly to the old one-point-at-a-time lockstep.
+============ ============================================================
+``hello``     worker -> service greeting (``pid``, ``proto``, ``slots``)
+``welcome``   service -> peer: the greeting was accepted (``proto``,
+              ``role``)
+``point``     service -> worker: one sweep point (``task_id``, ``point``)
+``result``    worker -> service: ``task_id`` + ``ok`` + ``result``/``error``
+``shutdown``  service -> worker: exit
+``error``     service -> peer: the request (or greeting) was refused
+============ ============================================================
 
-Protocol version 3 adds the always-on sweep service (``repro serve``):
+Flow control is *credit-based*: the ``hello`` frame advertises ``slots``
+— how many points the worker can execute concurrently — and the service
+keeps at most that many ``point`` frames outstanding per connection.
+``result`` frames may arrive in any order; each echoes its point's
+``task_id``, a job-scoped ``"<job>/<index>"`` string the worker treats as
+an opaque token.
 
-- *job-scoped task ids*: the service multiplexes many concurrent jobs
-  over one worker fleet, so ``point`` frames carry ``"<job>/<index>"``
-  string task ids instead of bare run-local integers.  Workers have
-  always treated ``task_id`` as an opaque token to echo back, so a v2
-  (or even v1) worker serves a v3 coordinator unchanged.
-- *version negotiation*: the coordinator answers a ``hello`` with a
-  ``welcome`` frame carrying the negotiated version
-  (``min(coordinator, worker)``, via :func:`negotiate_proto`).  v2
-  workers log-and-ignore unknown frame types, so the ``welcome`` is
-  backward compatible too.
-- *client frames* (``client_hello`` / ``submit`` / ``status`` /
-  ``result`` / ``watch`` / ``cancel``), spoken between ``repro
-  submit``-style clients and the service — see :mod:`repro.service`.
+Clients (``repro submit``/``status``/``result``/``cancel`` and
+``--backend service``) open with ``client_hello`` and then speak
+``submit`` / ``status`` / ``result`` / ``watch`` / ``cancel`` — see
+:mod:`repro.service`.
 
-The pickle payload means workers must only ever connect to a coordinator
+The pickle payload means workers must only ever connect to a service
 they trust (and vice versa); the harness binds to localhost by default.
 """
 
@@ -59,14 +52,12 @@ import json
 import pickle
 import socket
 import struct
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.harness.spec import PointResult, SweepPoint
 
-#: Wire protocol version, carried in ``hello`` frames.  Version 2 added
-#: multi-slot workers and out-of-order ``result`` frames; version 3 added
-#: job-scoped task ids, ``welcome`` negotiation and the service's client
-#: frames.
+#: The wire protocol version, carried in ``hello`` and ``client_hello``
+#: frames.  Peers advertising any other version are refused.
 PROTOCOL_VERSION = 3
 
 #: Frames larger than this are rejected as corrupt rather than allocated.
@@ -180,50 +171,48 @@ async def write_frame_async(writer: asyncio.StreamWriter,
 
 
 # --------------------------------------------------------------------------- #
-# Version negotiation and job-scoped task ids (protocol v3)
+# Greeting checks and socket options
 # --------------------------------------------------------------------------- #
 def negotiate_proto(hello: Dict[str, object]) -> int:
-    """The protocol version a coordinator speaks to this peer.
+    """The protocol version of a ``hello``/``client_hello`` frame.
 
-    ``min(ours, theirs)``; a missing or malformed advert counts as
-    version 1, the lockstep protocol every peer understands.
+    Only :data:`PROTOCOL_VERSION` is accepted; anything else (an older
+    version, a missing or malformed advert) raises :class:`ValueError`.
     """
-    proto = hello.get("proto", 1)
-    if not isinstance(proto, int) or isinstance(proto, bool) or proto < 1:
-        proto = 1
-    return min(PROTOCOL_VERSION, proto)
-
-
-def make_task_id(job_id: str, index: int) -> str:
-    """The job-scoped task id of one point of one service job."""
-    return f"{job_id}/{index}"
-
-
-def split_task_id(task_id: object) -> Optional[Tuple[str, int]]:
-    """Parse a job-scoped task id back to ``(job_id, index)``.
-
-    ``None`` for anything malformed (workers echo task ids verbatim, so a
-    bad one means a confused or hostile peer, not a crash).
-    """
-    if not isinstance(task_id, str):
-        return None
-    job_id, sep, index = task_id.rpartition("/")
-    if not sep or not job_id or not index.isdigit():
-        return None
-    return job_id, int(index)
+    proto = hello.get("proto")
+    if type(proto) is not int or proto != PROTOCOL_VERSION:
+        raise ValueError(f"unsupported protocol version {proto!r}; this "
+                         f"service speaks only v{PROTOCOL_VERSION}")
+    return proto
 
 
 def hello_slots(hello: Dict[str, object]) -> int:
-    """Execution slots a ``hello`` frame advertises.
+    """Execution slots a worker ``hello`` advertises.
 
-    A version-1 peer (or a malformed advert) counts as one slot, so old
-    workers interoperate with a version-2 coordinator as plain serial
-    executors.
+    The count must be an explicit positive int; anything else raises
+    :class:`ValueError`.
     """
-    slots = hello.get("slots", 1)
-    if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
-        return 1
+    slots = hello.get("slots")
+    if type(slots) is not int or slots < 1:
+        raise ValueError(f"worker hello must advertise a positive int "
+                         f"'slots' count, got {slots!r}")
     return slots
+
+
+def enable_keepalive(conn: socket.socket) -> None:
+    """Make a vanished peer *host* surface as a connection error.
+
+    A peer process that crashes sends a FIN/RST and is noticed at once; a
+    host that vanishes (power loss, network partition) sends nothing, so
+    without keepalive a blocked read would wait forever.  The parameters
+    below detect that within ~a minute without bounding how long a
+    legitimate point may compute.
+    """
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+    for option, value in (("TCP_KEEPIDLE", 30), ("TCP_KEEPINTVL", 10),
+                          ("TCP_KEEPCNT", 3)):
+        if hasattr(socket, option):  # platform-dependent
+            conn.setsockopt(socket.IPPROTO_TCP, getattr(socket, option), value)
 
 
 def parse_address(address: str) -> "tuple[str, int]":

@@ -1,18 +1,19 @@
 """The ``repro worker`` process — executes sweep points for a coordinator.
 
-A worker is the remote half of
-:class:`~repro.harness.backends.DistributedBackend`::
+A worker serves the sweep service, whether a standalone ``repro serve``
+or the one a ``--backend distributed`` run starts in-process::
 
     repro worker --connect HOST:PORT --jobs 8
 
 It dials the coordinator (retrying while the coordinator is still coming
 up, so workers and coordinator can be launched in any order), sends a
-``hello`` frame advertising how many execution *slots* it has, then serves
-points.  With one slot (``--jobs 1``) the worker executes each point
-in-process before reading the next frame; with more, it fans points out
-over a local ``multiprocessing`` pool and replies **out of order** as they
-finish — the coordinator matches replies to points by ``task_id`` and
-never keeps more than ``slots`` points outstanding on the connection.
+``hello`` frame advertising the protocol version and how many execution
+*slots* it has, then serves points.  With one slot (``--jobs 1``) the
+worker executes each point in-process before reading the next frame; with
+more, it fans points out over a local ``multiprocessing`` pool and replies
+**out of order** as they finish — the coordinator matches replies to
+points by ``task_id`` and never keeps more than ``slots`` points
+outstanding on the connection.
 
 ``--jobs`` defaults to ``$REPRO_WORKER_JOBS``, else the machine's CPU
 count, so a 32-core host contributes 32 cores to a sweep out of the box.
@@ -39,6 +40,7 @@ from repro.harness.spec import execute_point
 from repro.harness.wire import (
     PROTOCOL_VERSION,
     decode_point,
+    enable_keepalive,
     encode_result,
     parse_address,
     recv_frame,
@@ -107,26 +109,42 @@ def execute_task(task_id: object, blob: str) -> Dict[str, object]:
                 "error": traceback.format_exc(limit=8)}
 
 
+def _next_point(sock: socket.socket, served: int,
+                broken: Optional[threading.Event] = None
+                ) -> Optional[Dict[str, object]]:
+    """Read frames until a ``point`` arrives; ``None`` means exit cleanly.
+
+    Raises :class:`ConnectionError` once ``broken`` is set, so a broken
+    pool abandons the connection instead of serving on.
+    """
+    while True:
+        frame = recv_frame(sock)
+        if broken is not None and broken.is_set():
+            raise ConnectionError(
+                "worker pool broke; abandoning the connection so "
+                "in-flight points are retried elsewhere")
+        if frame is None:
+            _log(f"coordinator closed the connection after {served} points")
+            return None
+        kind = frame.get("type")
+        if kind == "point":
+            return frame
+        if kind == "shutdown":
+            _log(f"shutdown after {served} points")
+            return None
+        if kind == "welcome":
+            _log(f"coordinator accepted protocol v{frame.get('proto')}")
+        else:
+            _log(f"ignoring unexpected {kind!r} frame")
+
+
 def _serve_inline(sock: socket.socket) -> int:
     """One-slot service: execute each point before reading the next frame."""
     served = 0
     while True:
-        frame = recv_frame(sock)
+        frame = _next_point(sock, served)
         if frame is None:
-            _log(f"coordinator closed the connection after {served} points")
             return 0
-        kind = frame.get("type")
-        if kind == "shutdown":
-            _log(f"shutdown after {served} points")
-            return 0
-        if kind == "welcome":
-            # A v3 coordinator (the sweep service) confirms the negotiated
-            # protocol version; a v2 coordinator never sends one.
-            _log(f"coordinator negotiated protocol v{frame.get('proto')}")
-            continue
-        if kind != "point":
-            _log(f"ignoring unexpected {kind!r} frame")
-            continue
         # frame.get, not frame[...]: a point frame missing its payload must
         # become an ok:false reply (execute_task fails to decode it), not a
         # worker crash — only shutdown or a closed connection ends a worker.
@@ -190,26 +208,11 @@ def _serve_pooled(sock: socket.socket, jobs: int) -> int:
     served = 0
     try:
         while True:
-            frame = recv_frame(sock)
-            if broken.is_set():
-                raise ConnectionError(
-                    "worker pool broke; abandoning the connection so "
-                    "in-flight points are retried elsewhere")
+            # A shutdown may arrive with points still in flight (their job
+            # was cancelled); the finally below tears the pool down fast.
+            frame = _next_point(sock, served, broken)
             if frame is None:
-                _log(f"coordinator closed the connection after {served} points")
                 return 0
-            kind = frame.get("type")
-            if kind == "shutdown":
-                # The coordinator only shuts down idle connections, so no
-                # points are in flight; tear the pool down fast.
-                _log(f"shutdown after {served} points")
-                return 0
-            if kind == "welcome":
-                _log(f"coordinator negotiated protocol v{frame.get('proto')}")
-                continue
-            if kind != "point":
-                _log(f"ignoring unexpected {kind!r} frame")
-                continue
             task_id = frame.get("task_id")
             try:
                 # frame.get, not frame[...]: a payload-less point frame is
@@ -237,8 +240,6 @@ def run_worker(connect: str, retry_seconds: float = 30.0,
     :func:`default_worker_jobs`).  Returns a process exit code (0 on an
     orderly shutdown).
     """
-    from repro.harness.backends import enable_keepalive
-
     if jobs is None:
         jobs = default_worker_jobs()
     if jobs < 1:

@@ -1,16 +1,20 @@
 """The always-on sweep service (``repro serve``) and its clients.
 
-The service owns a worker fleet (the same ``repro worker`` processes the
-distributed backend uses — protocol-negotiated, so v2 workers interop
-unchanged) and a named job queue with priorities and fair-share
-scheduling across submitters.  Jobs are declarative
+The service is the harness's one fleet coordinator.  It owns a worker
+fleet (``repro worker`` processes, all speaking the one wire protocol
+version) and a named job queue with priorities and fair-share
+scheduling across submitters.  ``repro serve`` runs it standalone;
+``--backend distributed`` runs a private one in-process on a
+:class:`~repro.service.server.ServiceThread`.  Jobs are declarative
 :class:`~repro.api.JobSpec` payloads — ``module:qualname`` function
 references, never pickled callables.
 
 - :mod:`repro.service.jobs` — the queue and scheduling policy (pure,
   loop-free Python).
 - :mod:`repro.service.server` — the asyncio server behind ``repro
-  serve``: worker fleet, result streaming, SIGTERM drain.
+  serve`` and the distributed backend: worker fleet, result streaming,
+  SIGTERM drain, and the :class:`~repro.service.server.ServiceThread`
+  that runs it on a background event loop.
 - :mod:`repro.service.client` — :class:`~repro.service.client.ServiceClient`
   (the ``repro submit``/``status``/``result``/``cancel`` plumbing) and
   :class:`~repro.service.client.ServiceBackend` (``--backend service``).
@@ -22,7 +26,7 @@ from repro.service.client import (
     default_service_address,
 )
 from repro.service.jobs import JobQueue, ServiceError, ServiceJob
-from repro.service.server import SweepService, run_service
+from repro.service.server import ServiceThread, SweepService, run_service
 
 __all__ = [
     "JobQueue",
@@ -30,6 +34,7 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceJob",
+    "ServiceThread",
     "SweepService",
     "default_service_address",
     "run_service",

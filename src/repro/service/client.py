@@ -27,12 +27,13 @@ from repro.harness.backends import (
     ExecutionBackend,
     PointFailure,
     default_service_address,
-    enable_keepalive,
+    point_failure,
 )
 from repro.harness.spec import SweepPoint
 from repro.harness.wire import (
     PROTOCOL_VERSION,
     decode_result,
+    enable_keepalive,
     parse_address,
     recv_frame,
     send_frame,
@@ -167,10 +168,12 @@ class ServiceBackend(ExecutionBackend):
     """Run sweep points as one job on a running ``repro serve``.
 
     One :meth:`run_iter` call is one service job; the job's priority and
-    submitter identity come from the constructor.  :meth:`cancel` opens a
-    short second connection to cancel the in-flight job server-side (the
-    watch stream then ends with its ``job_end``), so a DSE early-stop
-    releases the fleet for other submitters immediately.
+    submitter identity come from the constructor.  A point that cannot be
+    encoded (unpicklable kwargs) gets a :class:`PointFailure` in its slot
+    and the rest are still submitted.  :meth:`cancel` ends the stream at
+    once and opens a short second connection to cancel the job
+    server-side, so a DSE early-stop releases the fleet for other
+    submitters immediately.
     """
 
     name = "service"
@@ -192,11 +195,20 @@ class ServiceBackend(ExecutionBackend):
                  ) -> Iterator[Tuple[int, BackendResult]]:
         points = list(points)
         self.last_point_workers = {}
-        if not points:
+        #: job point index -> run_iter index, for the encodable points
+        submitted: List[int] = []
+        entries: List[Dict[str, object]] = []
+        for index, point in enumerate(points):
+            try:
+                entries.append(JobSpec.encode_point(point))
+            except Exception as error:  # noqa: BLE001 - reported per point
+                yield index, point_failure(point, error)
+            else:
+                submitted.append(index)
+        if not submitted:
             return
-        spec = JobSpec.from_points(points, name=points[0].spec,
-                                   submitter=self.submitter,
-                                   priority=self.priority)
+        spec = JobSpec(name=points[0].spec, submitter=self.submitter,
+                       priority=self.priority, points=entries)
         with ServiceClient(self.connect, timeout=self.timeout) as client:
             job_id = client.submit(spec)
             with self._job_lock:
@@ -206,12 +218,15 @@ class ServiceBackend(ExecutionBackend):
                 self._cancel_remote(job_id)
             try:
                 for frame in client.watch(job_id):
+                    if self._cancelled:
+                        return  # the abandoned tail is never yielded
                     if frame.get("type") != "point_result":
                         continue  # job_end ends the watch generator itself
-                    index = frame.get("index")
-                    if not isinstance(index, int) \
-                            or not 0 <= index < len(points):
+                    job_index = frame.get("index")
+                    if not isinstance(job_index, int) \
+                            or not 0 <= job_index < len(submitted):
                         continue
+                    index = submitted[job_index]
                     worker = frame.get("worker")
                     if isinstance(worker, str):
                         self.last_point_workers[index] = worker
@@ -229,8 +244,7 @@ class ServiceBackend(ExecutionBackend):
         try:
             return decode_result(str(frame.get("result", "")))
         except Exception as error:  # noqa: BLE001 - reported per point
-            return PointFailure(spec=point.spec, point_id=point.point_id,
-                                error=f"{type(error).__name__}: {error}")
+            return point_failure(point, error)
 
     def cancel(self) -> None:
         super().cancel()

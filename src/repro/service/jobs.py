@@ -126,10 +126,6 @@ class JobQueue:
         self._served[submitter] = self._served.get(submitter, 0) + 1
         return job, index
 
-    def has_work(self) -> bool:
-        return any(job.pending and not job.state.terminal
-                   for job in self.jobs.values())
-
     # -- settlement -------------------------------------------------------- #
     def complete(self, job: ServiceJob, index: int,
                  payload: Dict[str, object]) -> bool:
@@ -188,6 +184,25 @@ class JobQueue:
                 else:
                     job.pending.appendleft(index)
         return settled
+
+    def fail_unfinished(self, error: str
+                        ) -> List[Tuple[ServiceJob, int, Dict[str, object]]]:
+        """Fail every unsettled point; returns the settlements."""
+        payload: Dict[str, object] = {"ok": False, "error": error}
+        settled = []
+        for job in self.jobs.values():
+            for index, result in enumerate(job.results):
+                if result is None and self.complete(job, index, payload):
+                    settled.append((job, index, payload))
+        return settled
+
+    def forget_finished(self) -> List[str]:
+        """Drop every terminal job; returns the dropped job ids."""
+        finished = [job_id for job_id, job in self.jobs.items()
+                    if job.state.terminal]
+        for job_id in finished:
+            del self.jobs[job_id]
+        return finished
 
     def cancel(self, job_id: object) -> Optional[ServiceJob]:
         """Cancel a job; ``None`` if unknown or already terminal.

@@ -1,22 +1,27 @@
 """The always-on sweep service behind ``repro serve``.
 
+This is the one fleet coordinator: ``repro serve`` runs it standalone,
+and ``--backend distributed`` runs an ephemeral one in-process on a
+:class:`ServiceThread`.
+
 One asyncio event loop owns everything: the listening socket, one
 connection handler per peer, the worker fleet and the
 :class:`~repro.service.jobs.JobQueue`.  Peers self-identify by their first
-frame — workers send the same ``hello`` they send a sweep coordinator
-(an unmodified v2 ``repro worker`` joins the fleet untouched), clients
-send ``client_hello``.  Both get a ``welcome`` frame back carrying the
-negotiated protocol version.
+frame — workers send ``hello``, clients send ``client_hello``.  A
+greeting that advertises the current protocol version (and, for a
+worker, a slot count) gets a ``welcome`` frame back; any other gets an
+``error`` frame and is disconnected.
 
 Per worker the server runs a *dispatch* task and a *receive* task.
 Dispatch pulls assignments from the queue (priority + fair share, see
 :mod:`repro.service.jobs`), keeps at most ``slots`` points outstanding
-(the same credit scheme the distributed backend uses) and tags each
-``point`` frame with a job-scoped ``"<job>/<index>"`` task id.  Receive
-matches ``result`` frames back by task id, settles the point and streams
-a ``point_result`` event to every watcher of that job.  When a worker
-connection drops, its in-flight points are requeued for the survivors —
-a killed worker never loses a point.
+(credit-based flow control) and tags each ``point`` frame with a
+job-scoped ``"<job>/<index>"`` task id.  Receive matches ``result``
+frames back by task id, settles the point and streams a ``point_result``
+event to every watcher of that job.  When a worker connection drops, its
+in-flight points are requeued for the survivors — a killed worker never
+loses a point.  Each worker's completed points and busy seconds are
+counted (``repro status`` shows them).
 
 Shutdown is two-tier: SIGTERM *drains* (refuse new submissions, finish
 every accepted job, then exit) while SIGINT *stops* (cancel unfinished
@@ -27,9 +32,11 @@ workers exit cleanly.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import sys
+import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Coroutine, Dict, List, Optional, Tuple
 
 from repro.api import JobSpec
 from repro.harness.runner import point_seed
@@ -38,8 +45,8 @@ from repro.harness.wire import (
     PROTOCOL_VERSION,
     decode_point,
     decode_result,
+    enable_keepalive,
     hello_slots,
-    make_task_id,
     negotiate_proto,
     parse_address,
     read_frame_async,
@@ -57,23 +64,29 @@ from repro.store import (
 
 #: How long a new connection has to identify itself before being dropped.
 HELLO_TIMEOUT = 10.0
+#: How long a :class:`ServiceThread` caller waits on the loop thread.
+LOOP_TIMEOUT = 10.0
 
 
 class _WorkerLink:
     """Server-side state of one connected worker."""
 
-    def __init__(self, key: int, label: str, slots: int, proto: int,
+    def __init__(self, key: int, label: str, slots: int,
                  writer: asyncio.StreamWriter) -> None:
         self.key = key
         self.label = label
         self.slots = slots
-        self.proto = proto
         self.writer = writer
         self.credits = slots
         #: task id -> (job_id, point index, dispatch instant) for points
         #: on this connection
         self.inflight: Dict[str, Tuple[str, int, float]] = {}
         self.points_done = 0
+        #: summed dispatch-to-result seconds of the completed points (a
+        #: multi-slot worker can be busy for longer than it is connected)
+        self.busy_s = 0.0
+        self.joined_at = time.monotonic()
+        self.left_at: Optional[float] = None
         self.closed = False
         self.wake = asyncio.Event()
 
@@ -103,6 +116,11 @@ class SweepService:
         self._closing: Optional[asyncio.Event] = None
         #: live connection-handler tasks -> their writers, for clean shutdown
         self._connections: Dict["asyncio.Task", asyncio.StreamWriter] = {}
+
+    @property
+    def workers(self) -> List[_WorkerLink]:
+        """The connected workers, in join order.  Loop-thread only."""
+        return list(self._workers.values())
 
     # -- lifecycle --------------------------------------------------------- #
     async def start(self) -> Tuple[str, int]:
@@ -149,8 +167,7 @@ class SweepService:
 
     async def _shutdown(self) -> None:
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            self._server.close()  # stop listening; the port is free again
         for link in list(self._workers.values()):
             link.closed = True
             link.wake.set()
@@ -168,6 +185,10 @@ class SweepService:
         for task in list(self._connections):
             if not task.done():  # e.g. a watch of a job that never ends
                 task.cancel()
+        if self._server is not None:
+            # Last: since Python 3.12 this also waits for every connection
+            # to close, which the workers only do after their shutdown.
+            await self._server.wait_closed()
         self._log("stopped")
 
     def _log(self, message: str) -> None:
@@ -180,6 +201,9 @@ class SweepService:
         task = asyncio.current_task()
         if task is not None:
             self._connections[task] = writer
+        sock = writer.get_extra_info("socket")
+        if sock is not None:
+            enable_keepalive(sock)
         try:
             try:
                 first = await asyncio.wait_for(read_frame_async(reader),
@@ -190,15 +214,24 @@ class SweepService:
             if first is None:
                 return
             kind = first.get("type")
+            try:
+                if kind not in ("hello", "client_hello"):
+                    raise ValueError(f"expected hello or client_hello, "
+                                     f"got {kind!r}")
+                negotiate_proto(first)
+                slots = hello_slots(first) if kind == "hello" else 0
+            except ValueError as error:
+                self._log(f"refusing connection: {error}")
+                await write_frame_async(writer, {"type": "error",
+                                                 "error": str(error)})
+                return
+            await write_frame_async(writer, {
+                "type": "welcome", "proto": PROTOCOL_VERSION,
+                "role": "worker" if kind == "hello" else "client"})
             if kind == "hello":
-                await self._serve_worker(first, reader, writer)
-            elif kind == "client_hello":
-                await self._serve_client(first, reader, writer)
+                await self._serve_worker(first, slots, reader, writer)
             else:
-                await write_frame_async(
-                    writer, {"type": "error",
-                             "error": f"expected hello or client_hello, "
-                                      f"got {kind!r}"})
+                await self._serve_client(reader, writer)
         except (OSError, ConnectionError, ValueError):
             pass  # a dropped peer is routine fleet churn, not a server error
         finally:
@@ -210,20 +243,16 @@ class SweepService:
                 pass
 
     # -- workers ----------------------------------------------------------- #
-    async def _serve_worker(self, hello: Dict[str, object],
+    async def _serve_worker(self, hello: Dict[str, object], slots: int,
                             reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
-        proto = negotiate_proto(hello)
-        slots = hello_slots(hello)
         peer = writer.get_extra_info("peername") or ("?", 0)
         label = f"{peer[0]}:{peer[1]}/pid={hello.get('pid', '?')}"
         self._next_worker_key += 1
-        link = _WorkerLink(self._next_worker_key, label, slots, proto, writer)
+        link = _WorkerLink(self._next_worker_key, label, slots, writer)
         self._workers[link.key] = link
-        self._log(f"worker {label} joined: {slots} slot(s), protocol v{proto}")
+        self._log(f"worker {label} joined: {slots} slot(s)")
         try:
-            await write_frame_async(writer, {"type": "welcome", "proto": proto,
-                                             "role": "worker"})
             receive = asyncio.ensure_future(self._worker_receive(link, reader))
             dispatch = asyncio.ensure_future(self._worker_dispatch(link))
             done, pending = await asyncio.wait(
@@ -237,13 +266,13 @@ class SweepService:
                 task.exception()  # retrieve, so nothing logs as unhandled
         finally:
             link.closed = True
+            link.left_at = time.monotonic()
             self._workers.pop(link.key, None)
-            requeued = len(link.inflight)
-            for job, index, payload in self.queue.requeue_worker(link.key):
-                self._emit_point(job, index, payload)
-                requeued -= 1
+            settled = self.queue.requeue_worker(link.key)
+            self._publish(settled)
+            requeued = max(len(link.inflight) - len(settled), 0)
             self._log(f"worker {label} left after {link.points_done} "
-                      f"point(s); requeued {max(requeued, 0)} in-flight")
+                      f"point(s); requeued {requeued} in-flight")
             self._kick_all()
 
     async def _worker_dispatch(self, link: _WorkerLink) -> None:
@@ -257,7 +286,7 @@ class SweepService:
                 if assignment is None:
                     break
                 job, index = assignment
-                task_id = make_task_id(job.job_id, index)
+                task_id = f"{job.job_id}/{index}"  # job-scoped, see wire
                 link.credits -= 1
                 link.inflight[task_id] = (job.job_id, index, time.monotonic())
                 entry = job.spec.points[index]
@@ -287,6 +316,7 @@ class SweepService:
             link.credits += 1
             link.points_done += 1
             job_id, index, started = entry
+            link.busy_s += time.monotonic() - started
             job = self.queue.get(job_id)
             if job is not None:
                 if frame.get("ok"):
@@ -303,7 +333,7 @@ class SweepService:
                             job, index, str(payload["result"]),
                             worker=link.label,
                             duration_s=round(time.monotonic() - started, 6))
-                    self._emit_point(job, index, payload)
+                    self._publish([(job, index, payload)])
             link.wake.set()  # a credit came back; dispatch may proceed
 
     def _kick_all(self) -> None:
@@ -338,15 +368,30 @@ class SweepService:
                       f"{type(error).__name__}: {error}")
 
     # -- event fan-out ----------------------------------------------------- #
-    def _emit_point(self, job: ServiceJob, index: int,
-                    payload: Dict[str, object]) -> None:
-        event = {"type": "point_result", "job_id": job.job_id,
-                 "index": index}
-        event.update(payload)
-        for watcher in self._watchers.get(job.job_id, []):
-            watcher.put_nowait(event)
-        if job.state.terminal:
+    def _publish(self, settled: List[Tuple[ServiceJob, int,
+                                           Dict[str, object]]]) -> None:
+        """Stream settled points to watchers, then end the jobs they finished
+        (every ``point_result`` precedes its job's ``job_end``)."""
+        ended: Dict[str, ServiceJob] = {}
+        for job, index, payload in settled:
+            event = {"type": "point_result", "job_id": job.job_id,
+                     "index": index}
+            event.update(payload)
+            for watcher in self._watchers.get(job.job_id, []):
+                watcher.put_nowait(event)
+            if job.state.terminal:
+                ended[job.job_id] = job
+        for job in ended.values():
             self._notify_terminal(job)
+
+    def fail_unfinished(self, error: str) -> None:
+        """Fail every unsettled point of every job.  Loop-thread only."""
+        self._publish(self.queue.fail_unfinished(error))
+
+    def forget_finished(self) -> None:
+        """Drop every terminal job and its results.  Loop-thread only."""
+        for job_id in self.queue.forget_finished():
+            self._finished.pop(job_id, None)
 
     def _notify_terminal(self, job: ServiceJob) -> None:
         event = {"type": "job_end", "job_id": job.job_id,
@@ -364,12 +409,8 @@ class SweepService:
             self._closing.set()
 
     # -- clients ----------------------------------------------------------- #
-    async def _serve_client(self, hello: Dict[str, object],
-                            reader: asyncio.StreamReader,
+    async def _serve_client(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
-        await write_frame_async(writer, {"type": "welcome",
-                                         "proto": negotiate_proto(hello),
-                                         "role": "client"})
         while True:
             frame = await read_frame_async(reader)
             if frame is None:
@@ -412,9 +453,12 @@ class SweepService:
         target = frame.get("job")
         statuses = self.queue.statuses(
             str(target) if target is not None else None)
+        now = time.monotonic()
         workers = [{"label": link.label, "slots": link.slots,
-                    "proto": link.proto, "inflight": len(link.inflight),
-                    "points_done": link.points_done}
+                    "inflight": len(link.inflight),
+                    "points_done": link.points_done,
+                    "busy_s": round(link.busy_s, 6),
+                    "connected_s": round(now - link.joined_at, 6)}
                    for link in self._workers.values()]
         await write_frame_async(
             writer, {"type": "status", "draining": self.queue.draining,
@@ -498,6 +542,68 @@ class SweepService:
         await write_frame_async(writer, {"type": "cancelled",
                                          "job_id": job_id,
                                          "status": job.status().to_json()})
+
+
+class ServiceThread:
+    """A :class:`SweepService` served on its own event loop in a thread.
+
+    The in-process runner behind ``--backend distributed``.  :meth:`submit`
+    and :meth:`call` reach the loop from other threads; :meth:`stop` stops
+    the service (SIGINT semantics: unfinished jobs are cancelled, workers
+    get ``shutdown``) and joins the thread, after which the port is free.
+    """
+
+    def __init__(self, service: SweepService) -> None:
+        self.service = service
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self.thread = threading.Thread(target=self._run, name="repro-service",
+                                       daemon=True)
+        #: The ``HOST:PORT`` workers and clients dial, once started.
+        self.address = ""
+        self._started: concurrent.futures.Future[Tuple[str, int]] = \
+            concurrent.futures.Future()
+
+    def start(self) -> Tuple[str, int]:
+        """Start the loop thread; returns the service's ``(host, port)``."""
+        self.thread.start()
+        host, port = self._started.result(LOOP_TIMEOUT)
+        self.address = f"{host}:{port}"
+        return host, port
+
+    def _run(self) -> None:
+        async def main() -> None:
+            self.loop = asyncio.get_running_loop()
+            try:
+                address = await self.service.start()
+            except Exception as error:  # noqa: BLE001 - handed to start()
+                self._started.set_exception(error)
+                return
+            self._started.set_result(address)
+            await self.service.serve()
+
+        asyncio.run(main())
+
+    def submit(self, coroutine: Coroutine[Any, Any, Any]
+               ) -> concurrent.futures.Future[Any]:
+        """Schedule ``coroutine`` on the loop; returns a thread-safe future."""
+        assert self.loop is not None, "start() the service first"
+        return asyncio.run_coroutine_threadsafe(coroutine, self.loop)
+
+    def call(self, function: Callable[..., Any], *args: Any) -> Any:
+        """Run ``function(*args)`` on the loop and return its result."""
+        async def invoke() -> Any:
+            return function(*args)
+
+        return self.submit(invoke()).result(LOOP_TIMEOUT)
+
+    def stop(self) -> None:
+        """Stop the service and join the loop thread."""
+        if self.loop is not None and self.thread.is_alive():
+            try:
+                self.loop.call_soon_threadsafe(self.service.request_stop)
+            except RuntimeError:
+                pass  # the loop already closed (a drain finished it)
+        self.thread.join(LOOP_TIMEOUT)
 
 
 def run_service(bind: str, max_retries: int = 3, quiet: bool = False,

@@ -1,9 +1,9 @@
 """Tests for the pluggable execution backends (serial / process / distributed).
 
 The distributed tests run real TCP traffic, but keep everything on
-localhost: the coordinator binds an ephemeral port and the workers are
-threads running the same ``run_worker`` loop the ``repro worker``
-subcommand runs.
+localhost: the backend's in-process sweep service binds an ephemeral port
+and the workers are threads running the same ``run_worker`` loop the
+``repro worker`` subcommand runs.
 """
 
 import socket
@@ -25,17 +25,19 @@ from repro.harness import (
     get_spec,
     run_worker,
 )
-from repro.harness.backends import ExecutionBackend, _RunState
+from repro.harness.backends import ExecutionBackend
 from repro.harness.wire import (
     PROTOCOL_VERSION,
     decode_point,
     encode_point,
     hello_slots,
+    negotiate_proto,
     parse_address,
     recv_frame,
     send_frame,
 )
 from repro.harness.worker import default_worker_jobs, execute_task
+from repro.service import ServiceClient
 
 
 # --------------------------------------------------------------------------- #
@@ -74,12 +76,31 @@ def _start_worker_thread(host, port, jobs=1):
     return thread
 
 
+def _hello(sock, slots=1):
+    """Greet the coordinator as a worker and read past its ``welcome``."""
+    send_frame(sock, {"type": "hello", "pid": 0, "proto": PROTOCOL_VERSION,
+                      "slots": slots})
+    assert recv_frame(sock)["type"] == "welcome"
+
+
 def _flaky_worker(host, port):
     """A worker that dies after receiving (and dropping) one point."""
     sock = socket.create_connection((host, port), timeout=10.0)
-    send_frame(sock, {"type": "hello", "pid": 0})
+    _hello(sock)
     recv_frame(sock)  # accept one point frame ...
     sock.close()      # ... and vanish without replying
+
+
+def _wait_for_settled(host, port, count, timeout=20.0):
+    """Poll the backend's job status until ``count`` points have settled."""
+    deadline = time.monotonic() + timeout
+    with ServiceClient(f"{host}:{port}") as client:
+        while time.monotonic() < deadline:
+            statuses = client.status()
+            if statuses and statuses[0].settled == count:
+                return True
+            time.sleep(0.01)
+    return False
 
 
 # --------------------------------------------------------------------------- #
@@ -118,12 +139,16 @@ class TestWire:
 
     def test_hello_slots_parsing(self):
         assert hello_slots({"type": "hello", "slots": 4}) == 4
-        # A v1 hello (no slots) and malformed adverts degrade to one slot.
-        assert hello_slots({"type": "hello"}) == 1
-        assert hello_slots({"slots": 0}) == 1
-        assert hello_slots({"slots": -3}) == 1
-        assert hello_slots({"slots": "8"}) == 1
-        assert hello_slots({"slots": True}) == 1
+        # The slot count must be an explicit positive int.
+        for bad in ({"type": "hello"}, {"slots": 0}, {"slots": -3},
+                    {"slots": "8"}, {"slots": True}):
+            with pytest.raises(ValueError, match="slots"):
+                hello_slots(bad)
+        assert negotiate_proto({"proto": PROTOCOL_VERSION}) == PROTOCOL_VERSION
+        for bad in ({}, {"proto": 2}, {"proto": PROTOCOL_VERSION + 1},
+                    {"proto": float(PROTOCOL_VERSION)}):
+            with pytest.raises(ValueError, match="protocol version"):
+                negotiate_proto(bad)
 
 
 # --------------------------------------------------------------------------- #
@@ -415,7 +440,7 @@ class TestDistributedBackend:
 
         def holding_flaky(host, port):
             sock = socket.create_connection((host, port), timeout=10.0)
-            send_frame(sock, {"type": "hello", "pid": 0})
+            _hello(sock)
             recv_frame(sock)            # take one point and sit on it
             got_point.set()
             release.wait(timeout=30)
@@ -439,13 +464,7 @@ class TestDistributedBackend:
         replacement = _start_worker_thread(host, port)
         # Wait until the replacement, admitted mid-run, has drained every
         # point except the one the flaky worker is sitting on.
-        deadline = time.monotonic() + 20
-        while time.monotonic() < deadline:
-            state = backend._run_state
-            if state is not None and state.outstanding == 1:
-                break
-            time.sleep(0.01)
-        else:
+        if not _wait_for_settled(host, port, len(points) - 1):
             pytest.fail("replacement worker was never dispatched mid-run")
 
         release.set()  # flaky dies; its point is requeued to the replacement
@@ -456,19 +475,18 @@ class TestDistributedBackend:
         assert [r.rows[0]["square"] for r in box["results"]] == \
             [v * v for v in range(4)]
 
-    def test_close_reaps_the_accept_thread(self):
-        """Regression: close() must wake and join the accept thread, not
-        just close the listener — a close()d fd does not interrupt a
-        blocked accept(), and a thread left parked on the stale fd number
-        steals connections from whichever backend the OS hands that fd to
-        next (the root cause of cross-test connection theft)."""
+    def test_close_joins_the_loop_thread_and_frees_port(self):
+        """close() joins the service's event-loop thread and releases the
+        listening socket: no thread outlives the backend to serve (or
+        steal) connections, and the port can be bound again at once."""
+        before = set(threading.enumerate())
         backend = DistributedBackend(bind="127.0.0.1:0")
-        backend.listen()
-        thread = backend._accept_thread
-        assert thread is not None and thread.is_alive()
+        host, port = backend.listen()
+        started = set(threading.enumerate()) - before
+        assert started and all(thread.is_alive() for thread in started)
         backend.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+        assert not any(thread.is_alive() for thread in started)
+        socket.create_server((host, port)).close()
 
     def test_workers_survive_across_runs(self):
         backend = DistributedBackend(bind="127.0.0.1:0", min_workers=2,
@@ -485,17 +503,13 @@ class TestDistributedBackend:
 
 
 # --------------------------------------------------------------------------- #
-# Multi-slot workers and credit-based pipelining (protocol v2)
+# Multi-slot workers and credit-based pipelining
 # --------------------------------------------------------------------------- #
-def _connect_fake_worker(host, port, slots=None):
+def _connect_fake_worker(host, port, slots=1):
     """Open a coordinator connection the test drives by hand."""
     sock = socket.create_connection((host, port), timeout=10.0)
-    hello = {"type": "hello", "pid": 0}
-    if slots is not None:
-        hello["proto"] = PROTOCOL_VERSION
-        hello["slots"] = slots
-    send_frame(sock, hello)
     sock.settimeout(10.0)
+    _hello(sock, slots)
     return sock
 
 
@@ -628,13 +642,7 @@ class TestMultiSlotProtocol:
             frames = [recv_frame(sock) for _ in range(3)]
             assert len({f["task_id"] for f in frames}) == 3
             survivor = _start_worker_thread(host, port)
-            deadline = time.monotonic() + 20
-            while time.monotonic() < deadline:
-                state = backend._run_state
-                if state is not None and state.outstanding == 3:
-                    break
-                time.sleep(0.01)
-            else:
+            if not _wait_for_settled(host, port, 3):
                 pytest.fail("survivor never drained the free points")
         finally:
             sock.close()  # die with all three points still in flight
@@ -695,25 +703,6 @@ class TestMultiSlotProtocol:
         assert not thread.is_alive()
         assert isinstance(results[0], PointFailure)
 
-    def test_protocol_v1_worker_interops(self):
-        # A v1 worker (hello without slots, in-order replies) still serves
-        # a v2 coordinator as a one-slot executor.
-        points = _points([5, 6])
-        backend = DistributedBackend(bind="127.0.0.1:0", min_workers=1,
-                                     start_timeout=20.0)
-        host, port = backend.listen()
-        runner, box = _run_in_thread(backend, points)
-        sock = _connect_fake_worker(host, port, slots=None)
-        try:
-            for _ in points:
-                _reply(sock, recv_frame(sock))
-            runner.join(timeout=20)
-            assert not runner.is_alive()
-        finally:
-            backend.close()
-            sock.close()
-        assert [r.rows[0]["value"] for r in box["results"]] == [5, 6]
-
 
 class TestWorkerJobs:
     def test_default_worker_jobs_env(self, monkeypatch):
@@ -733,22 +722,6 @@ class TestWorkerJobs:
     def test_run_worker_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_worker("127.0.0.1:1", jobs=0)
-
-
-class TestRunStateAdmission:
-    def test_instant_worker_death_does_not_orphan_admitted_batch(self):
-        """Regression for the test_worker_loss_retries_on_survivor flake:
-        the whole initial worker batch is admitted atomically, so a worker
-        dying before its siblings' serve threads spawn leaves
-        active_workers > 0 and the run keeps going on the survivor instead
-        of failing every point as orphaned."""
-        state = _RunState(_points([1, 2]), max_retries=3)
-        state.admit_batch(2)
-        state.requeue(0)        # the flaky worker dies holding point 0 ...
-        state.worker_exited()   # ... before the survivor's threads started
-        assert not state.done.is_set()
-        assert state.results == [None, None]
-        assert state.active_workers == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -190,6 +190,27 @@ class TestRecovery:
         assert queue.cancel(job.job_id) is None  # idempotent
         assert queue.cancel("job-99") is None    # unknown
 
+    def test_fail_unfinished_settles_only_unsettled_points(self):
+        queue = JobQueue()
+        done = queue.submit(_spec(1))
+        queue.complete(done, queue.next_assignment("w")[1], _ok())
+        job = queue.submit(_spec(3))
+        queue.complete(job, queue.next_assignment("w")[1], _ok())
+        settled = queue.fail_unfinished("fleet gone")
+        assert [(j.job_id, i) for j, i, _ in settled] == \
+            [(job.job_id, 1), (job.job_id, 2)]
+        assert job.state is JobState.FAILED and "fleet gone" in job.error
+        assert done.state is JobState.DONE
+        assert queue.next_assignment("w") is None
+
+    def test_forget_finished_drops_only_terminal_jobs(self):
+        queue = JobQueue()
+        done = queue.submit(_spec(0))   # empty: done at submission
+        live = queue.submit(_spec(1))
+        assert queue.forget_finished() == [done.job_id]
+        assert queue.get(done.job_id) is None
+        assert queue.get(live.job_id) is live
+
     def test_drain_refuses_new_submissions_but_finishes_accepted(self):
         queue = JobQueue()
         job = queue.submit(_spec(1))

@@ -1,13 +1,13 @@
 """Integration tests for ``repro serve``: real sockets, real workers.
 
 Each test boots a :class:`~repro.service.server.SweepService` on an
-ephemeral localhost port inside a dedicated event-loop thread; workers
-are threads running the same ``run_worker`` loop the ``repro worker``
-subcommand runs, so the full v3 wire path (hello -> welcome negotiation,
-job-scoped task ids, credit flow, requeue) is exercised end to end.
+ephemeral localhost port on a :class:`~repro.service.server.ServiceThread`
+(the same in-process runner ``--backend distributed`` uses); workers are
+threads running the same ``run_worker`` loop the ``repro worker``
+subcommand runs, so the full wire path (hello -> welcome, job-scoped task
+ids, credit flow, requeue) is exercised end to end.
 """
 
-import asyncio
 import json
 import socket
 import threading
@@ -24,17 +24,19 @@ from repro.harness import (
     run_worker,
 )
 from repro.harness.cli import main as cli_main
+from repro.harness.backends import PointFailure
 from repro.harness.wire import (
+    PROTOCOL_VERSION,
     decode_result,
     parse_address,
     recv_frame,
     send_frame,
 )
-from repro.harness.worker import execute_task
 from repro.service import (
     ServiceBackend,
     ServiceClient,
     ServiceError,
+    ServiceThread,
     SweepService,
 )
 
@@ -59,48 +61,15 @@ def _job(values, *, name="svc", submitter="tester", priority=0):
                                submitter=submitter, priority=priority)
 
 
-class _LiveService:
-    """A SweepService running on its own event-loop thread."""
-
-    def __init__(self, max_retries=3):
-        self.service = SweepService(bind="127.0.0.1:0",
-                                    max_retries=max_retries, quiet=True)
-        self.loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-        if not self._ready.wait(10):
-            raise RuntimeError("service did not start")
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.service.start())
-        self._ready.set()
-        try:
-            self.loop.run_until_complete(self.service.serve())
-        finally:
-            self.loop.close()
-
-    @property
-    def address(self):
-        host, port = self.service.address
-        return f"{host}:{port}"
-
-    def signal(self, callback):
-        """Run ``callback`` on the service's loop (signal-handler stand-in)."""
-        self.loop.call_soon_threadsafe(callback)
-
-    def stop(self, timeout=10):
-        try:
-            self.signal(self.service.request_stop)
-        except RuntimeError:
-            pass  # loop already closed (the service drained on its own)
-        self.thread.join(timeout)
+def _live_service():
+    harness = ServiceThread(SweepService(bind="127.0.0.1:0", quiet=True))
+    harness.start()
+    return harness
 
 
 @pytest.fixture()
 def live():
-    harness = _LiveService()
+    harness = _live_service()
     yield harness
     harness.stop()
 
@@ -117,53 +86,29 @@ def _start_worker(address, jobs=1):
 # Wire v3: negotiation and job-scoped task ids
 # --------------------------------------------------------------------------- #
 class TestProtocol:
-    def test_v2_worker_negotiates_and_serves_job_scoped_ids(self, live):
-        # A hand-rolled v2 worker: v2 hello in, welcome with min(3, 2) out,
-        # then a point whose task id is the v3 job-scoped string — which a
-        # v2 worker echoes back opaquely, exactly like the real ones do.
-        sock = socket.create_connection(parse_address(live.address),
-                                        timeout=10.0)
-        try:
-            send_frame(sock, {"type": "hello", "pid": 1, "proto": 2,
-                              "slots": 1})
-            assert recv_frame(sock) == {"type": "welcome", "proto": 2,
-                                        "role": "worker"}
-            with ServiceClient(live.address) as client:
-                job_id = client.submit(_job([3]))
-                frame = recv_frame(sock)
-                assert frame["type"] == "point"
-                assert frame["task_id"] == f"{job_id}/0"
-                send_frame(sock, execute_task(frame["task_id"],
-                                              str(frame["point"])))
-                reply = client.result(job_id)
-            assert reply["state"] == "done"
-            result = decode_result(reply["points"][0]["result"])
-            assert result.rows == [{"value": 3, "square": 9}]
-        finally:
-            sock.close()
-
-    def test_v1_hello_counts_as_one_slot_lockstep(self, live):
-        sock = socket.create_connection(parse_address(live.address),
-                                        timeout=10.0)
-        try:
-            send_frame(sock, {"type": "hello", "pid": 1})  # no proto, no slots
-            assert recv_frame(sock) == {"type": "welcome", "proto": 1,
-                                        "role": "worker"}
-            with ServiceClient(live.address) as client:
-                job_id = client.submit(_job([1, 2]))
-                first = recv_frame(sock)
-                assert first["type"] == "point"
-                # one slot -> exactly one point outstanding; the second
-                # frame only arrives after the first result goes back.
-                send_frame(sock, execute_task(first["task_id"],
-                                              str(first["point"])))
-                second = recv_frame(sock)
-                assert second["task_id"] == f"{job_id}/1"
-                send_frame(sock, execute_task(second["task_id"],
-                                              str(second["point"])))
-                assert client.result(job_id)["state"] == "done"
-        finally:
-            sock.close()
+    def test_stale_or_slotless_worker_hello_is_refused(self, live):
+        # Every peer ships from this tree: a hello advertising another
+        # protocol version, or no explicit slot count, gets an error frame
+        # and is disconnected -- and the service keeps serving the fleet.
+        host, port = parse_address(live.address)
+        for hello in ({"type": "hello", "pid": 1, "proto": 2, "slots": 1},
+                      {"type": "hello", "pid": 1},
+                      {"type": "hello", "pid": 1, "proto": PROTOCOL_VERSION}):
+            sock = socket.create_connection((host, port), timeout=10.0)
+            try:
+                send_frame(sock, hello)
+                reply = recv_frame(sock)
+                assert reply["type"] == "error"
+                assert recv_frame(sock) is None  # disconnected
+            finally:
+                sock.close()
+        _start_worker(live.address)
+        with ServiceClient(live.address) as client:
+            job_id = client.submit(_job([3]))
+            reply = client.result(job_id)
+        assert reply["state"] == "done"
+        assert decode_result(reply["points"][0]["result"]).rows == \
+            [{"value": 3, "square": 9}]
 
     def test_non_worker_garbage_is_rejected(self, live):
         sock = socket.create_connection(parse_address(live.address),
@@ -278,8 +223,8 @@ class TestResilience:
         # joins, via requeue of the lost point.
         saboteur = socket.create_connection(parse_address(live.address),
                                             timeout=10.0)
-        send_frame(saboteur, {"type": "hello", "pid": 666, "proto": 3,
-                              "slots": 1})
+        send_frame(saboteur, {"type": "hello", "pid": 666,
+                              "proto": PROTOCOL_VERSION, "slots": 1})
         recv_frame(saboteur)  # welcome
         with ServiceClient(live.address) as client:
             job_id = client.submit(_job([1, 2, 3, 4]))
@@ -316,6 +261,17 @@ class TestResilience:
         assert [r.rows for r in replay] == \
             [r.rows for r in SerialBackend().run(points)]
 
+    def test_unpicklable_point_fails_without_hanging(self, live):
+        # One point whose kwargs cannot be pickled fails in its own slot;
+        # the rest of the sweep is still submitted and runs.
+        _start_worker(live.address)
+        bad = SweepPoint(spec="svc", point_id="bad", func=square_point,
+                         kwargs={"value": lambda: 1})  # lambdas don't pickle
+        backend = ServiceBackend(connect=live.address)
+        results = backend.run([bad] + _points([5]))
+        assert isinstance(results[0], PointFailure)
+        assert results[1].rows == [{"value": 5, "square": 25}]
+
     def test_cancel_settles_job_without_workers(self, live):
         with ServiceClient(live.address) as client:
             job_id = client.submit(_job([1, 2, 3]))
@@ -333,11 +289,11 @@ class TestResilience:
                 client.result("job-404")
 
     def test_drain_refuses_submissions_finishes_jobs_then_exits(self):
-        harness = _LiveService()
+        harness = _live_service()
         try:
             client = ServiceClient(harness.address)
             job_id = client.submit(_job([5, 6]))  # queued; no workers yet
-            harness.signal(harness.service.request_drain)  # SIGTERM path
+            harness.call(harness.service.request_drain)  # SIGTERM path
             with pytest.raises(ServiceError, match="draining"):
                 client.submit(_job([7]))
             assert client.status_payload().get("draining") is True
@@ -377,6 +333,10 @@ class TestServiceCli:
         assert payload["jobs"][0]["state"] == "done"
         assert payload["jobs"][0]["total"] == 1
         assert payload["workers"], "the worker fleet should be listed"
+        (worker,) = payload["workers"]
+        assert worker["points_done"] == 1
+        assert worker["busy_s"] > 0
+        assert worker["connected_s"] >= worker["busy_s"]
 
         assert cli_main(["status", *base]) == 0
         assert job_id in capsys.readouterr().out
