@@ -107,11 +107,10 @@ class WorkerRunStats:
 class ExecutionBackend:
     """Protocol for sweep-point executors.
 
-    Subclasses implement :meth:`run_iter` (preferred — results stream out
-    as points complete, which is what lets the runner write cache entries
-    incrementally and lets callers stop early via :meth:`cancel`) or the
-    legacy :meth:`run`; each has a default implementation in terms of the
-    other, so implementing either one is enough.  ``name`` appears in
+    Subclasses implement :meth:`run_iter`: results stream out as points
+    complete, which is what lets the runner write cache entries
+    incrementally and lets callers stop early via :meth:`cancel`.
+    :meth:`run` collects them in declaration order.  ``name`` appears in
     error messages and the CLI's per-sweep summary line.
     """
 
@@ -128,13 +127,8 @@ class ExecutionBackend:
         flight are abandoned (their eventual results dropped) and points
         never dispatched are simply not run.
         """
-        if type(self).run is ExecutionBackend.run:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither run() nor "
-                f"run_iter()")
-        # Legacy subclass: only run() is overridden.  Declaration order
-        # doubles as completion order.
-        yield from enumerate(self.run(points))
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement run_iter()")
 
     def run(self, points: List[SweepPoint]) -> List[BackendResult]:
         """Execute every point; results in declaration order.

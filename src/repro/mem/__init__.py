@@ -14,9 +14,16 @@ Both machines of the paper are assemblies of the same few parts:
   lower levels optionally shared between cores;
 * :class:`~repro.mem.port.CoreMemoryPort` — the per-core
   translate → coherence → data path of the CCSVM chip, with a combined
-  TLB-hit + L1-hit fast path;
-* :mod:`repro.mem.assemble` — builders that turn the ``repro.config``
-  hierarchy-shape dataclasses into levels for either machine.
+  TLB-hit + L1-hit fast path whose one reference oracle is
+  ``port.fast_path = False``;
+* :mod:`repro.mem.assemble` — turns the ``repro.config`` hierarchy-shape
+  dataclasses into built memory systems for either machine:
+  :class:`~repro.mem.assemble.CCSVMMemory`, the CCSVM chip's memory
+  system that both :class:`~repro.core.chip.CCSVMChip` and cache-only
+  replay (:mod:`repro.mem.replay`) are built on, and
+  :func:`~repro.mem.assemble.build_apu_cpu_hierarchies`, the APU CPU
+  cores' stacks that :class:`~repro.baseline.apu.AMDAPU` and the flat
+  replayer share.
 
 The MOESI directory controller itself stays in
 :mod:`repro.coherence.protocol`; ``repro.mem`` composes it (registering

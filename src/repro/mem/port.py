@@ -25,7 +25,8 @@ same order, without a further call chain.  Anything else — TLB miss, L1
 miss, upgrade from SHARED/OWNED, atomics, an out-of-range address, a
 non-MOESI state — falls through to the unchanged general path, so timing,
 statistics and errors are bit-for-bit identical either way.  The general
-path alone runs when ``fast_path=False`` (the reference oracle), when a
+path alone runs after ``port.fast_path = False`` (the access path's one
+reference oracle, set by the equivalence tests), when a
 sequential-consistency checker is attached, or when the shape has no TLB.
 Batches (:meth:`~CoreMemoryPort.run_batch` and friends) are one loop with
 the same hit path inlined.
@@ -122,7 +123,7 @@ class CoreMemoryPort:
                  page_fault_handler: Optional[PageFaultHandler] = None,
                  stats: Optional[StatsRegistry] = None,
                  sc_checker: Optional[SequentialConsistencyChecker] = None,
-                 fast_path: bool = True, batch_enabled: bool = True) -> None:
+                 batch_enabled: bool = True) -> None:
         self.node = node
         #: ``None`` models a chip shape without TLBs (every access walks).
         self.tlb = tlb
@@ -133,7 +134,7 @@ class CoreMemoryPort:
         self.page_fault_handler = page_fault_handler
         self.stats = stats if stats is not None else StatsRegistry()
         self._sc_checker = sc_checker
-        self._fast_path = fast_path
+        self._fast_path = True
         #: The ``batch_access`` config knob: whether an MTTOP core hands its
         #: warp's lane memory ops to :meth:`run_batch` as one batch.
         self.batch_enabled = batch_enabled

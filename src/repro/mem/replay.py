@@ -3,21 +3,28 @@
 ``repro.mem.trace`` replay still pays for the whole machine — cores, the
 sim engine, the MIFD, the xthreads runtime — even though a fixed trace's
 reference stream is identical under every hierarchy shape.  This module
-drops everything except the memory system itself: it assembles the same
-TLBs, private L1s, MOESI-directory L2 banks, optional L3 and DRAM model a
-:class:`~repro.core.chip.CCSVMChip` would build (same names, same latency
-parameters), then feeds the recorded per-thread operation streams through
-the ports directly, interleaved in global capture order.
+drops everything except the memory system itself: :func:`replay_trace`
+builds a bare :class:`~repro.mem.assemble.CCSVMMemory` — the very assembly
+:class:`~repro.core.chip.CCSVMChip` extends with its cores — and feeds the
+recorded per-thread operation streams through its ports directly,
+interleaved in global capture order.  :func:`replay_trace_flat` does the
+same for the APU baseline with the hierarchies
+:func:`~repro.mem.assemble.build_apu_cpu_hierarchies` builds for
+:class:`~repro.baseline.apu.AMDAPU`.
 
-Because the ports, the coherence controller and the VM manager are the
-*identical* objects direct simulation uses, every hierarchy counter —
-``tlb.*``, ``walker.*``, ``l1d.*``, ``l2.*``, ``l3.*``, ``coherence.*``,
-``dram.*``, ``network.*``, ``os.*`` — matches a full simulation of the
-same stream exactly.  What cache-only replay does *not* reproduce are the
-core/engine-side counters (instructions, engine steps, xthreads service
-stats) and the simulated makespan: :attr:`ReplayResult.time_ps` is the sum
-of per-access latencies (a serial cost proxy), not the parallel schedule's
-finish time.
+Because the ports, the coherence controller and the VM manager come from
+the same construction code direct simulation uses, every hierarchy
+counter — ``tlb.*``, ``walker.*``, ``l1d.*``, ``l2.*``, ``l3.*``,
+``coherence.*``, ``dram.*``, ``network.*``, ``os.*`` — matches a full
+simulation of the same stream exactly.  What cache-only replay does *not*
+reproduce are the core/engine-side counters (instructions, engine steps,
+xthreads service stats) and the simulated makespan:
+:attr:`ReplayResult.time_ps` is the sum of per-access latencies (a serial
+cost proxy), not the parallel schedule's finish time.
+
+Plain memory ops run through the ports' batch path (``run_batch``); a
+batch is counter- and latency-identical to issuing its ops one by one, and
+the access path's one oracle switch is ``port.fast_path = False``.
 
 Synchronisation operations expand to their deterministic memory footprint
 (the footprint the runtime performs when the condition is already true):
@@ -49,15 +56,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.baseline.cpu import BaselineCPUPort
-from repro.baseline.memory import FlatMemory, PrivateCacheHierarchy
-from repro.coherence.protocol import CoherentMemorySystem
-from repro.config import (
-    APUSystemConfig,
-    CCSVMSystemConfig,
-    ConfigurationError,
-    amd_apu_system,
-    ccsvm_system,
-)
+from repro.baseline.memory import FlatMemory
+from repro.config import (APUSystemConfig, CCSVMSystemConfig, amd_apu_system,
+                          ccsvm_system)
 from repro.core.xthreads.api import (
     CpuMttopBarrier,
     CreateMThread,
@@ -79,26 +80,12 @@ from repro.cores.isa import (
     StoreVector,
     WaitValue,
 )
-from repro.interconnect.network import NetworkModel
-from repro.interconnect.topology import Torus2DTopology
-from repro.mem.assemble import (
-    build_apu_shared_l2,
-    build_ccsvm_l1,
-    build_l2_banks,
-    build_l3_level,
-)
+from repro.mem.assemble import CCSVMMemory, build_apu_cpu_hierarchies
 from repro.mem.batch import (OP_ATOMIC_ADD, OP_ATOMIC_CAS, OP_LOAD, OP_STORE,
                              scalar_op)
-from repro.mem.port import CoreMemoryPort
 from repro.mem.trace import Trace, TraceError
 from repro.memory.dram import DRAMModel
-from repro.memory.physical import FrameAllocator, PhysicalMemory
-from repro.sim.clock import ClockDomain, ns_to_ps
 from repro.sim.stats import StatsRegistry
-from repro.vm.manager import VirtualMemoryManager
-from repro.vm.shootdown import TLBShootdownController
-from repro.vm.tlb import TLB
-from repro.vm.walker import PageTableWalker
 
 
 @dataclass(frozen=True)
@@ -120,117 +107,6 @@ class ReplayResult:
     def stats_snapshot(self) -> Dict[str, int]:
         """A plain-dict copy of every counter (useful for diffing)."""
         return self.stats.to_dict()
-
-
-# --------------------------------------------------------------------------- #
-# CCSVM hierarchy — the chip's memory system without the chip
-# --------------------------------------------------------------------------- #
-class CCSVMReplayHierarchy:
-    """The CCSVM memory system exactly as :class:`CCSVMChip` assembles it.
-
-    Node names, cache geometry, walker latencies and the coherence fabric
-    are byte-for-byte the chip's; only cores, engine, MIFD and runtime are
-    absent.  One :class:`CoreMemoryPort` exists per cpu/mttop node, all
-    sharing a single process address space.
-    """
-
-    def __init__(self, config: CCSVMSystemConfig,
-                 fast_access_path: bool = True) -> None:
-        cfg = config
-        if cfg.mttop.write_through:
-            raise ConfigurationError(
-                "mttop.write_through=true is not modeled (write-back MTTOP "
-                "L1s only); cannot replay against this shape")
-        self.config = cfg
-        self.stats = StatsRegistry()
-
-        # Memory + VM (chip: _build_memory).
-        self.physical_memory = PhysicalMemory(cfg.dram.size_bytes)
-        self.frames = FrameAllocator(cfg.dram.size_bytes)
-        self.vm = VirtualMemoryManager(self.physical_memory, self.frames,
-                                       stats=self.stats)
-        self.dram = DRAMModel(cfg.dram.latency_ns, stats=self.stats,
-                              name="dram")
-        self.shootdown = TLBShootdownController(stats=self.stats)
-
-        # Interconnect (chip: _build_interconnect).
-        self.cpu_nodes = [f"cpu{i}" for i in range(cfg.cpu.count)]
-        self.mttop_nodes = [f"mttop{i}" for i in range(cfg.mttop.count)]
-        self.l2_nodes = [f"l2b{i}" for i in range(cfg.l2.banks)]
-        self.memory_node = "mem0"
-        all_nodes = (self.cpu_nodes + self.mttop_nodes + self.l2_nodes
-                     + [self.memory_node])
-        self.topology = Torus2DTopology.fit(all_nodes)
-        self.network = NetworkModel(
-            self.topology, link_bandwidth_gbps=cfg.noc.link_bandwidth_gbps,
-            per_hop_latency_ns=cfg.noc.hop_latency_ns, stats=self.stats)
-
-        # Shared L2 banks + optional L3 + MOESI (chip: _build_l2_and_coherence).
-        self.cpu_clock = ClockDomain.from_ghz("cpu", cfg.cpu.frequency_ghz)
-        self.mttop_clock = ClockDomain.from_mhz("mttop",
-                                                cfg.mttop.frequency_mhz)
-        self._l2_hit_ps = self.cpu_clock.cycles_to_ps(
-            cfg.l2.hit_latency_cpu_cycles)
-        self.l2_banks = build_l2_banks(cfg, self.l2_nodes, self._l2_hit_ps,
-                                       stats=self.stats)
-        self.l3_level = build_l3_level(cfg, self.cpu_clock, stats=self.stats)
-        self.coherence = CoherentMemorySystem(self.network, self.dram,
-                                              self.l2_banks, self.memory_node,
-                                              stats=self.stats,
-                                              l3=self.l3_level)
-
-        # Per-node L1 + TLB + walker + port (chip: _build_cores, minus the
-        # cores themselves).
-        self.ports: Dict[str, CoreMemoryPort] = {}
-        cpu_l1_hit_ps = self.cpu_clock.cycles_to_ps(cfg.cpu.l1_hit_cycles)
-        for node in self.cpu_nodes:
-            l1 = build_ccsvm_l1(node, size_bytes=cfg.cpu.l1_size_bytes,
-                                associativity=cfg.cpu.l1_associativity,
-                                hit_latency_ps=cpu_l1_hit_ps,
-                                replacement=cfg.cpu.l1_replacement,
-                                stats=self.stats)
-            self.coherence.register_l1(node, l1, cpu_l1_hit_ps)
-            port = self._make_port(node, cfg.cpu.tlb_entries,
-                                   fast_access_path)
-            if port.tlb is not None:
-                self.shootdown.register_cpu_tlb(port.tlb)
-            self.ports[node] = port
-        mttop_l1_hit_ps = self.mttop_clock.cycles_to_ps(
-            cfg.mttop.l1_hit_cycles)
-        for node in self.mttop_nodes:
-            l1 = build_ccsvm_l1(node, size_bytes=cfg.mttop.l1_size_bytes,
-                                associativity=cfg.mttop.l1_associativity,
-                                hit_latency_ps=mttop_l1_hit_ps,
-                                replacement=cfg.mttop.l1_replacement,
-                                stats=self.stats)
-            self.coherence.register_l1(node, l1, mttop_l1_hit_ps)
-            port = self._make_port(node, cfg.mttop.tlb_entries,
-                                   fast_access_path)
-            if port.tlb is not None:
-                self.shootdown.register_mttop_tlb(port.tlb)
-            self.ports[node] = port
-
-        self.space = self.vm.create_address_space()
-        for port in self.ports.values():
-            port.set_address_space(self.space)
-
-    def _make_port(self, node: str, tlb_entries: int,
-                   fast_access_path: bool) -> CoreMemoryPort:
-        tlb: Optional[TLB] = None
-        if self.config.tlb_enabled:
-            tlb = TLB(entries=tlb_entries, stats=self.stats,
-                      name=f"tlb.{node}")
-        hop_ps = ns_to_ps(self.config.noc.hop_latency_ns)
-        walker = PageTableWalker(
-            self.physical_memory,
-            default_entry_latency_ps=self._l2_hit_ps + 4 * hop_ps,
-            stats=self.stats, name=f"walker.{node}")
-        return CoreMemoryPort(node=node, tlb=tlb, walker=walker,
-                              coherence=self.coherence,
-                              physical_memory=self.physical_memory,
-                              vm_manager=self.vm, stats=self.stats,
-                              sc_checker=None, fast_path=fast_access_path,
-                              batch_enabled=self.config.batch_access)
 
 
 # --------------------------------------------------------------------------- #
@@ -420,7 +296,7 @@ def _compiled_program(trace: Trace, key: tuple, compile_fn) -> List[tuple]:
 
 
 def _run_program(program: List[tuple], ports: Dict[str, object],
-                 batched: bool, do_malloc, do_free) -> Tuple[int, int]:
+                 do_malloc, do_free) -> Tuple[int, int]:
     """Execute a compiled program; returns ``(time_ps, operations)``.
 
     Counter- and latency-identical to issuing every op of the trace one
@@ -435,7 +311,7 @@ def _run_program(program: List[tuple], ports: Dict[str, object],
             port = ports[ins[1]]
             # Device streams interleave nodes op by op; runt batches are
             # cheaper as scalar port calls (identical at any split).
-            if batched and len(ops) >= 4:
+            if len(ops) >= 4:
                 _values, lats = port.run_batch(ops)
                 time_ps += sum(lats)
             else:
@@ -485,60 +361,55 @@ def load_trace_cached(path: str) -> Trace:
 # CCSVM replay
 # --------------------------------------------------------------------------- #
 def replay_trace(trace: Union[Trace, str],
-                 config: Optional[CCSVMSystemConfig] = None,
-                 engine: str = "batch") -> ReplayResult:
+                 config: Optional[CCSVMSystemConfig] = None) -> ReplayResult:
     """Replay a trace (object or file path) through a CCSVM hierarchy
     shape, cache-only.
 
-    ``engine='batch'`` coalesces same-node runs of plain memory ops into
-    ``port.run_batch`` calls; ``'scalar'`` issues every op through the
-    per-word port methods.  Both produce identical counters and time.
+    The hierarchy is a bare :class:`~repro.mem.assemble.CCSVMMemory` —
+    the chip's own memory-system assembly — with every port loaded with
+    one process address space.
     """
-    if engine not in ("batch", "scalar"):
-        raise TraceError(f"unknown replay engine {engine!r} "
-                         "(expected 'batch' or 'scalar')")
     if isinstance(trace, str):
         trace = load_trace_cached(trace)
-    hierarchy = CCSVMReplayHierarchy(config if config is not None
-                                     else ccsvm_system())
-    cfg = hierarchy.config
-    if len(trace.hosts) > len(hierarchy.cpu_nodes):
+    memory = CCSVMMemory(config if config is not None else ccsvm_system(),
+                         StatsRegistry())
+    if len(trace.hosts) > len(memory.cpu_nodes):
         raise TraceError(
-            f"{len(trace.hosts)} host streams exceed {cfg.cpu.count} "
+            f"{len(trace.hosts)} host streams exceed {len(memory.cpu_nodes)} "
             "CPU cores")
-    simd = cfg.mttop.simd_width
-    count = len(hierarchy.mttop_nodes)
+    simd = memory.config.mttop.simd_width
+    count = len(memory.mttop_nodes)
     program = _compiled_program(
         trace, ("ccsvm", simd, count),
         lambda: _compile_ccsvm(trace, simd, count))
-    vm, space = hierarchy.vm, hierarchy.space
+    vm = memory.vm
+    space = vm.create_address_space()
+    for port in memory.ports.values():
+        port.set_address_space(space)
     # The deterministic bump allocator hands back the captured run's
     # addresses, so recorded pointers stay valid.
     time_ps, operations = _run_program(
-        program, hierarchy.ports, engine == "batch",
+        program, memory.ports,
         lambda size: vm.malloc(space, size),
         lambda vaddr: vm.free(space, vaddr))
     return ReplayResult(time_ps=time_ps, operations=operations,
-                        stats=hierarchy.stats)
+                        stats=memory.stats)
 
 
 # --------------------------------------------------------------------------- #
 # Baseline (flat-memory) replay — the apu-shared-l2 family
 # --------------------------------------------------------------------------- #
 def replay_trace_flat(trace: Union[Trace, str],
-                      config: Optional[APUSystemConfig] = None,
-                      engine: str = "batch") -> ReplayResult:
+                      config: Optional[APUSystemConfig] = None) -> ReplayResult:
     """Replay a trace's host streams through the APU cache hierarchy.
 
-    Builds the same per-core :class:`PrivateCacheHierarchy` stacks (and
-    pooled shared L2, when ``config.cpu.l2_shared``) the
-    :class:`~repro.baseline.apu.AMDAPU` machine assembles, and walks host
-    stream ``i`` through core ``i``'s port.  Device streams have no APU
-    CPU analog, so traces with device tasks are rejected.
+    Builds the per-core :class:`~repro.baseline.memory.PrivateCacheHierarchy`
+    stacks (and pooled shared L2, when ``config.cpu.l2_shared``) with
+    :func:`~repro.mem.assemble.build_apu_cpu_hierarchies`, the builder
+    :class:`~repro.baseline.apu.AMDAPU` uses, and walks host stream ``i``
+    through core ``i``'s port.  Device streams have no APU CPU analog, so
+    traces with device tasks are rejected.
     """
-    if engine not in ("batch", "scalar"):
-        raise TraceError(f"unknown replay engine {engine!r} "
-                         "(expected 'batch' or 'scalar')")
     if isinstance(trace, str):
         trace = load_trace_cached(trace)
     if config is None:
@@ -553,23 +424,9 @@ def replay_trace_flat(trace: Union[Trace, str],
     stats = StatsRegistry()
     memory = FlatMemory()
     dram = DRAMModel(config.dram.latency_ns, stats=stats, name="dram")
-    shared_l2 = build_apu_shared_l2(config, stats=stats)
-    ports: Dict[str, BaselineCPUPort] = {}
-    for index in range(len(trace.hosts)):
-        hierarchy = PrivateCacheHierarchy(
-            name=f"apu_cpu{index}",
-            dram=dram,
-            l1_size_bytes=config.cpu.l1_size_bytes,
-            l1_associativity=config.cpu.l1_associativity,
-            l1_hit_ps=ns_to_ps(config.cpu.l1_hit_ns),
-            l2_size_bytes=config.cpu.l2_size_bytes,
-            l2_associativity=config.cpu.l2_associativity,
-            l2_hit_ps=ns_to_ps(config.cpu.l2_hit_ns),
-            l1_replacement=config.cpu.l1_replacement,
-            l2_replacement=config.cpu.l2_replacement,
-            shared_l2=shared_l2,
-            stats=stats)
-        ports[f"cpu{index}"] = BaselineCPUPort(memory, hierarchy)
+    ports = {f"cpu{index}": BaselineCPUPort(memory, hierarchy)
+             for index, hierarchy in enumerate(
+                 build_apu_cpu_hierarchies(config, dram, stats))}
 
     program = _compiled_program(trace, ("flat",),
                                 lambda: _compile_flat(trace))
@@ -577,7 +434,7 @@ def replay_trace_flat(trace: Union[Trace, str],
     # touching the hierarchy (and treats Free as a no-op); mirror it for
     # state parity.
     time_ps, operations = _run_program(
-        program, ports, engine == "batch",
+        program, ports,
         lambda size: memory.allocate(size),
         lambda vaddr: None)
     return ReplayResult(time_ps=time_ps, operations=operations, stats=stats)

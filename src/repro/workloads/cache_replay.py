@@ -218,10 +218,10 @@ def _load(trace: Union[Trace, str]) -> Trace:
                   description="cache-only replay of a recorded trace through "
                               "a bare CCSVM hierarchy (no cores, no engine)")
 def ccsvm_variant(config: Optional[CCSVMSystemConfig] = None, *,
-                  seed: int = 0, trace: Union[Trace, str] = "trace.json",
-                  engine: str = "batch") -> WorkloadResult:
+                  seed: int = 0, trace: Union[Trace, str] = "trace.json"
+                  ) -> WorkloadResult:
     loaded = _load(trace)
-    result = replay_trace(loaded, config, engine=engine)
+    result = replay_trace(loaded, config)
     return WorkloadResult(system="ccsvm_cache_replay", workload=WORKLOAD,
                           params={"workload": loaded.workload,
                                   **loaded.params},
@@ -235,10 +235,10 @@ def ccsvm_variant(config: Optional[CCSVMSystemConfig] = None, *,
                   description="cache-only replay of a recorded host-only "
                               "trace through the APU cache hierarchy")
 def pthreads_variant(config: Optional[APUSystemConfig] = None, *,
-                     seed: int = 0, trace: Union[Trace, str] = "trace.json",
-                     engine: str = "batch") -> WorkloadResult:
+                     seed: int = 0, trace: Union[Trace, str] = "trace.json"
+                     ) -> WorkloadResult:
     loaded = _load(trace)
-    result = replay_trace_flat(loaded, config, engine=engine)
+    result = replay_trace_flat(loaded, config)
     return WorkloadResult(system="apu_cache_replay", workload=WORKLOAD,
                           params={"workload": loaded.workload,
                                   **loaded.params},

@@ -7,7 +7,7 @@ atomics, and a footprint large enough to evict from the L1s and, on
 ``ccsvm-small``, the L2) and a small MTTOP ``apsp`` run, whose barriers
 drive forwards, upgrades and invalidation/ack rounds.
 
-The port's ``fast_path=False`` oracle and the fused path share the same
+The ``port.fast_path = False`` oracle and the fused path share the same
 message-charging code, so the counter-equivalence tests cannot see a wrong
 route cost or a counter charged out of order; this fixture can.  It was
 recorded before the network model gained its route table.  Re-record it

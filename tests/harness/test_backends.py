@@ -183,14 +183,15 @@ class TestLocalBackends:
         class ShortBackend(ExecutionBackend):
             name = "short"
 
-            def run(self, points):
-                return []
+            def run_iter(self, points):
+                return iter(())
 
         class NoneBackend(ExecutionBackend):
             name = "none"
 
-            def run(self, points):
-                return [None] * len(points)
+            def run_iter(self, points):
+                for index in range(len(points)):
+                    yield index, None
 
         with pytest.raises(HarnessError, match="0 results for 1 points"):
             SweepRunner(backend=ShortBackend()).run_points(_points([1]))
@@ -201,12 +202,12 @@ class TestLocalBackends:
         class HalfBackend(ExecutionBackend):
             name = "half"
 
-            def run(self, points):
+            def run_iter(self, points):
                 done = SerialBackend().run(points)
                 done[0] = PointFailure(spec=points[0].spec,
                                        point_id=points[0].point_id,
                                        error="synthetic loss")
-                return done
+                return enumerate(done)
 
         cache = str(tmp_path / "cache")
         with pytest.raises(HarnessError, match="synthetic loss"):
@@ -251,19 +252,6 @@ class TestRunIterAndCancel:
         for index, result in pairs:
             assert result.rows[0]["square"] == index * index
 
-    def test_legacy_run_only_backend_still_streams(self):
-        class LegacyBackend(ExecutionBackend):
-            name = "legacy"
-
-            def run(self, points):
-                return SerialBackend().run(points)
-
-        pairs = list(LegacyBackend().run_iter(_points([1, 2])))
-        assert [index for index, _ in pairs] == [0, 1]
-        # ... and the runner consumes it through the same streaming path
-        outcome = SweepRunner(backend=LegacyBackend()).run_points(_points([3]))
-        assert outcome.rows == [{"value": 3, "square": 9}]
-
     def test_iter_only_backend_gets_run_shim_in_declaration_order(self):
         class IterBackend(ExecutionBackend):
             name = "iter-only"
@@ -292,7 +280,8 @@ class TestRunIterAndCancel:
         class EmptyBackend(ExecutionBackend):
             name = "empty"
 
-        with pytest.raises(NotImplementedError, match="neither"):
+        with pytest.raises(NotImplementedError,
+                           match="does not implement run_iter"):
             list(EmptyBackend().run_iter(_points([1])))
 
     def test_serial_cancel_stops_at_the_next_point_boundary(self):

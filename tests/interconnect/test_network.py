@@ -9,7 +9,7 @@ from repro.core.chip import CCSVMChip
 from repro.errors import InterconnectError
 from repro.interconnect.network import CONTROL_MESSAGE_BYTES, DATA_MESSAGE_BYTES, NetworkModel
 from repro.interconnect.topology import Torus2DTopology
-from repro.mem.replay import CCSVMReplayHierarchy
+from repro.mem.assemble import CCSVMMemory
 from repro.sim.stats import StatsRegistry
 from repro.systems import system_config
 
@@ -171,4 +171,4 @@ class TestParameterValidation:
                                           {"noc.link_bandwidth_gbps": -12}])
     def test_replay_hierarchy_rejects_bad_noc(self, override):
         with pytest.raises(InterconnectError):
-            CCSVMReplayHierarchy(system_config("ccsvm", override))
+            CCSVMMemory(system_config("ccsvm", override), StatsRegistry())

@@ -147,13 +147,22 @@ def _counters(stats):
 
 
 # --------------------------------------------------------------------------- #
-# CCSVM (MOESI + TLB) equivalence against the fast_path=False oracle
+# CCSVM (MOESI + TLB) equivalence against the port.fast_path = False oracle
 # --------------------------------------------------------------------------- #
+def _chip(config, fast):
+    """A chip whose every port takes the fused path or (``fast=False``)
+    the general reference path."""
+    chip = CCSVMChip(config)
+    for port in chip.ports.values():
+        port.fast_path = fast
+    return chip
+
+
 def _ccsvm_stream(config, fast, ops_seed, disturb):
     """Run one deterministic stream; return (values, latencies, counters,
     ops, regions)."""
     rng = random.Random(ops_seed)
-    chip = CCSVMChip(config, fast_access_path=fast)
+    chip = _chip(config, fast)
     chip.create_process("batch_eq")
     regions = [chip.malloc(4096) for _ in range(6)]
     port = chip.cpu_cores[0].memory_port
@@ -197,7 +206,7 @@ class TestCCSVMEquivalence:
 
     def test_all_load_fast_lane_bit_identical(self, oracle):
         def run(fast):
-            chip = CCSVMChip(small_ccsvm_system(), fast_access_path=fast)
+            chip = _chip(small_ccsvm_system(), fast)
             chip.create_process("batch_eq")
             base = chip.malloc(4096)
             port = chip.cpu_cores[0].memory_port
@@ -267,7 +276,7 @@ def test_mixed_batch_is_bit_identical_to_scalar():
     through the reference path."""
     outcomes = {}
     for batched in (True, False):
-        chip = CCSVMChip(small_ccsvm_system(), fast_access_path=batched)
+        chip = _chip(small_ccsvm_system(), batched)
         chip.create_process("mixed_batch")
         port = chip.cpu_cores[0].memory_port
         base = chip.malloc(WORKING_SET_WORDS * 8)

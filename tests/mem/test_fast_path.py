@@ -1,8 +1,8 @@
 """The fused TLB-hit + L1-hit path is bit-identical to the legacy path.
 
-The reference oracle is the port's ``fast_path=False`` general path.
-Counters are compared as item lists — insertion order included, since
-``--stats`` prints in that order.
+The reference oracle is the general path a port takes after
+``port.fast_path = False``.  Counters are compared as item lists —
+insertion order included, since ``--stats`` prints in that order.
 """
 
 import random
@@ -14,11 +14,34 @@ from repro.config import small_ccsvm_system, tiny_caches_ccsvm_system
 from repro.core.chip import CCSVMChip
 from repro.errors import CoherenceError, UnmappedAddressError
 from repro.mem.batch import OP_ATOMIC_ADD, OP_ATOMIC_CAS, OP_LOAD, OP_STORE, scalar_op
+from repro.mem.port import CoreMemoryPort
 from repro.memory.address import PAGE_SHIFT
 from repro.systems import system_config
+from repro.vm.tlb import TLB
 from repro.workloads.registry import get_variant
 
 PRESETS = ["ccsvm", "ccsvm-l3", "ccsvm-no-tlb", "ccsvm-small"]
+
+
+def _chip(config, fast=True, **kwargs):
+    """A chip whose every port takes the fused path or (``fast=False``)
+    the general reference path."""
+    chip = CCSVMChip(config, **kwargs)
+    for port in chip.ports.values():
+        port.fast_path = fast
+    return chip
+
+
+def _patch_chips(monkeypatch, fast):
+    """Make every chip a workload variant builds use ``fast``."""
+    original = CCSVMChip.__init__
+
+    def patched(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        for port in self.ports.values():
+            port.fast_path = fast
+
+    monkeypatch.setattr(CCSVMChip, "__init__", patched)
 
 
 def _run_workload(config, fast):
@@ -32,15 +55,10 @@ class TestWorkloadEquivalence:
                                                 tiny_caches_ccsvm_system])
     def test_matmul_identical_time_and_counters(self, config_factory,
                                                 monkeypatch):
-        original = CCSVMChip.__init__
         outcomes = {}
         for fast in (True, False):
-            # Workload variants build their own chips; flip the default.
-            def patched(self, *args, _fast=fast, **kwargs):
-                kwargs.setdefault("fast_access_path", _fast)
-                original(self, *args, **kwargs)
-
-            monkeypatch.setattr(CCSVMChip, "__init__", patched)
+            # Workload variants build their own chips.
+            _patch_chips(monkeypatch, fast)
             result = _run_workload(config_factory(), fast)
             outcomes[fast] = (result.time_ps, result.dram_accesses,
                               result.counters)
@@ -68,7 +86,7 @@ def _mixed_stream(config, fast):
     """A CPU and an MTTOP port sharing pages, issuing batches and single
     ops; returns (values, latencies, counter items)."""
     rng = random.Random(2024)
-    chip = CCSVMChip(config, fast_access_path=fast)
+    chip = _chip(config, fast)
     chip.create_process("oracle")
     regions = [chip.malloc(4096) for _ in range(6)]
     cpu = chip.cpu_cores[0].memory_port
@@ -96,14 +114,9 @@ class TestPresetEquivalence:
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_workload_matches_oracle(self, preset, monkeypatch):
-        original = CCSVMChip.__init__
         outcomes = {}
         for fast in (True, False):
-            def patched(self, *args, _fast=fast, **kwargs):
-                kwargs.setdefault("fast_access_path", _fast)
-                original(self, *args, **kwargs)
-
-            monkeypatch.setattr(CCSVMChip, "__init__", patched)
+            _patch_chips(monkeypatch, fast)
             result = get_variant("matmul", "ccsvm").func(
                 system_config(preset), seed=3, size=8)
             assert result.verified
@@ -120,7 +133,7 @@ def _raised(action):
 
 class TestFastPathMechanics:
     def _port(self, fast=True):
-        chip = CCSVMChip(small_ccsvm_system(), fast_access_path=fast)
+        chip = _chip(small_ccsvm_system(), fast)
         chip.create_process("fast_path_test")
         return chip, chip.cpu_cores[0].memory_port
 
@@ -155,10 +168,10 @@ class TestFastPathMechanics:
         with pytest.raises(CoherenceError):
             chip.coherence.l1_store_hit_ps("ghost", 0x1000)
 
-    def _error_cases(self, setup, **chip_kwargs):
+    def _error_cases(self, setup, fast=True, **chip_kwargs):
         """Errors a load and a store raise on the port ``setup`` prepares,
         plus the counters left behind."""
-        chip = CCSVMChip(small_ccsvm_system(), **chip_kwargs)
+        chip = _chip(small_ccsvm_system(), fast, **chip_kwargs)
         chip.create_process("fast_path_test")
         port = chip.cpu_cores[0].memory_port
         port, vaddr = setup(chip, port)
@@ -174,7 +187,7 @@ class TestFastPathMechanics:
         fused = self._error_cases(setup)
         assert fused[0][0][0] is error and fused[0][1][0] is error
         assert fused == self._error_cases(setup, check_sc=True)
-        assert fused[0] == self._error_cases(setup, fast_access_path=False)[0]
+        assert fused[0] == self._error_cases(setup, fast=False)[0]
 
     def test_out_of_range_paddr_raises_as_before(self):
         def setup(chip, port):
@@ -204,7 +217,13 @@ class TestFastPathMechanics:
         def setup(chip, port):
             vaddr = chip.malloc(64)
             port.load(vaddr)
-            ghost = chip._make_memory_port("ghost", 64)
+            ghost = CoreMemoryPort(
+                node="ghost", tlb=TLB(entries=64, stats=chip.stats,
+                                      name="tlb.ghost"),
+                walker=port.walker, coherence=chip.coherence,
+                physical_memory=chip.physical_memory, vm_manager=chip.vm,
+                stats=chip.stats, sc_checker=chip.sc_checker)
+            ghost.fast_path = port.fast_path
             ghost.set_address_space(chip.process_space)
             ghost.tlb.insert(vaddr >> PAGE_SHIFT,
                              port.translate(vaddr, False)[0] & ~0xFFF, True)

@@ -12,6 +12,10 @@ import json
 
 import pytest
 
+from repro.config import ConfigurationError
+from repro.core.chip import CCSVMChip
+from repro.mem.batch import scalar_run_batch, split_ops
+from repro.mem.port import CoreMemoryPort
 from repro.mem.replay import replay_trace, replay_trace_flat
 from repro.mem.trace import TraceError
 from repro.systems import system_config
@@ -38,6 +42,16 @@ def hierarchy_counters(counters):
 
 def canonical(counters):
     return json.dumps(counters, sort_keys=True).encode()
+
+
+def batch_and_scalar(monkeypatch, trace, config):
+    """The replay of ``trace`` through the ports' batch path, then again
+    with every batch issued op by op through the scalar port methods."""
+    batch = replay_trace(trace, config)
+    monkeypatch.setattr(
+        CoreMemoryPort, "run_batch",
+        lambda port, ops: scalar_run_batch(port, *split_ops(ops)))
+    return batch, replay_trace(trace, config)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +82,15 @@ class TestCCSVMGate:
         assert canonical(hierarchy_counters(full.counters)) == \
             canonical(hierarchy_counters(fast.stats_snapshot()))
 
+    def test_refuses_write_through_shape_like_the_chip(self, host_trace):
+        config = system_config("ccsvm", {"mttop.write_through": True})
+        with pytest.raises(ConfigurationError) as chip_error:
+            CCSVMChip(config)
+        with pytest.raises(ConfigurationError,
+                           match="unimplemented feature") as replay_error:
+            replay_trace(host_trace, config)
+        assert str(replay_error.value) == str(chip_error.value)
+
     @pytest.mark.parametrize("preset", _CCSVM_SHAPES)
     def test_registry_variant_matches_full_simulation(self, host_trace,
                                                       preset):
@@ -81,10 +104,10 @@ class TestCCSVMGate:
         assert fast.verified
         assert fast.dram_accesses == full.dram_accesses
 
-    def test_scalar_engine_matches_batch_engine(self, host_trace):
-        config = system_config("ccsvm")
-        batch = replay_trace(host_trace, config, engine="batch")
-        scalar = replay_trace(host_trace, config, engine="scalar")
+    def test_scalar_engine_matches_batch_engine(self, host_trace,
+                                                monkeypatch):
+        batch, scalar = batch_and_scalar(monkeypatch, host_trace,
+                                         system_config("ccsvm"))
         assert canonical(batch.stats_snapshot()) == \
             canonical(scalar.stats_snapshot())
         assert batch.time_ps == scalar.time_ps
@@ -131,10 +154,9 @@ class TestDeviceTraces:
     stream, and both replay engines must walk it to the same counters.
     """
 
-    def test_batch_equals_scalar(self, device_trace):
-        config = system_config("ccsvm")
-        batch = replay_trace(device_trace, config, engine="batch")
-        scalar = replay_trace(device_trace, config, engine="scalar")
+    def test_batch_equals_scalar(self, device_trace, monkeypatch):
+        batch, scalar = batch_and_scalar(monkeypatch, device_trace,
+                                         system_config("ccsvm"))
         assert canonical(batch.stats_snapshot()) == \
             canonical(scalar.stats_snapshot())
         assert batch.time_ps == scalar.time_ps
